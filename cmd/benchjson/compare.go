@@ -17,6 +17,9 @@ import (
 //
 // The gate's honesty rules:
 //
+//   - A synthetic report (made with -assume-cpus on a host with another
+//     CPU budget) gates nothing real: the comparison runs, under a
+//     visible "synthetic baseline" warning.
 //   - Different CPU counts make the files incomparable (a 4-core baseline
 //     vs a 1-core fallback runner would "regress" by parallelism the
 //     runner never had): the gate prints a visible warning and exits 0.
@@ -57,6 +60,12 @@ func runCompare(args []string) error {
 	cur, err := readReport(fs.Arg(1))
 	if err != nil {
 		return err
+	}
+	for i, r := range []*Report{base, cur} {
+		if r.Synthetic {
+			fmt.Printf("WARNING: synthetic baseline — %s was generated with -assume-cpus %d, not measured on a %d-CPU runner; replace it with a real run.\n",
+				fs.Arg(i), r.CPUs, r.CPUs)
+		}
 	}
 	if base.CPUs != cur.CPUs {
 		fmt.Printf("GATE SKIPPED: baseline measured on %d CPUs, current on %d — incomparable.\n", base.CPUs, cur.CPUs)

@@ -69,9 +69,13 @@ type Report struct {
 	Go     string `json:"go"`
 	// CPUs is runtime.NumCPU at measurement time — the context the
 	// worker-sweep lanes must be read in.
-	CPUs    int                `json:"cpus"`
-	World   World              `json:"world"`
-	Results map[string]Metrics `json:"results"`
+	CPUs int `json:"cpus"`
+	// Synthetic marks a report made with -assume-cpus: labeled for a CPU
+	// budget this host does not have, so its numbers are a bootstrap
+	// stand-in, not a measurement of that runner.
+	Synthetic bool               `json:"synthetic,omitempty"`
+	World     World              `json:"world"`
+	Results   map[string]Metrics `json:"results"`
 	// Baseline is a previous run embedded via -baseline; Speedup holds
 	// baseline/current ratios (>1 means this run is better) per shared key.
 	Baseline map[string]Metrics  `json:"baseline,omitempty"`
@@ -151,6 +155,7 @@ func run(out, baselineFile string, loadDur time.Duration, loadRate float64, assu
 		// candidate to be replaced by one measured on the real runner.
 		runtime.GOMAXPROCS(assumeCPUs)
 		r.CPUs = assumeCPUs
+		r.Synthetic = true
 		fmt.Fprintf(os.Stderr, "assuming %d CPUs (host has %d): GOMAXPROCS pinned, report labeled cpus=%d\n",
 			assumeCPUs, runtime.NumCPU(), assumeCPUs)
 	}

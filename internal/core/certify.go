@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/digest"
@@ -440,9 +439,8 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	// The distance tree's leaves are digests of hyper-edge entries derived
 	// from the stored rows — just re-derived above — so re-hashing them
 	// (B² small entries, cheap) closes the leaf↔row binding before the
-	// interior fold pins the leaves to the root.
+	// interior fold pins the leaves to the root. Entries come in leaf order.
 	entries := hy.Entries()
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
 	mt := hp.distMBT.MHT()
 	if mt.NumLeaves() != len(entries) {
 		return fmt.Errorf("%w: HYP distance tree has %d leaves, %d hyper-edges derived", cert.ErrRowDigest, mt.NumLeaves(), len(entries))

@@ -54,7 +54,7 @@ func (o *Owner) OutsourceHYP() (*HYPProvider, error) {
 		return nil, err
 	}
 	p := &HYPProvider{g: o.g, view: o.frozenView(), hyper: hyper, ads: ads}
-	entries := hyper.Entries()
+	entries := hyper.Entries() // canonical key order = leaf order
 	if len(entries) > 0 {
 		p.distMBT, err = mbt.Build(o.cfg.Hash, o.cfg.Fanout, entries)
 		if err != nil {

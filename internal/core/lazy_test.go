@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/snapshot"
 	"github.com/authhints/spv/internal/workload"
 )
@@ -276,5 +278,109 @@ func TestLazyCloseSemantics(t *testing.T) {
 	}
 	if _, err := set.Provider(FULL).QueryProof(q.S, q.T); err == nil {
 		t.Fatal("cold FULL should fail to hydrate after Close")
+	}
+}
+
+// rewriteSection copies a snapshot, passing the payload of the section
+// with the given kind through mutate, and re-frames every section so all
+// CRCs and the index match: the damage gets past the container and must
+// be caught by the section decoder.
+func rewriteSection(t *testing.T, data []byte, kind uint32, mutate func([]byte) []byte) string {
+	t.Helper()
+	r, err := snapshot.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	w, err := snapshot.NewWriter(&out, r.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for {
+		s, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Kind == kind {
+			s.Payload = mutate(s.Payload)
+			found = true
+		}
+		if err := w.Section(s.Kind, s.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !found {
+		t.Fatalf("no section of kind %d", kind)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "rewritten.spv")
+	if err := os.WriteFile(path, out.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLazyBadHYPSectionFailsOnTouch pins that HYP hydration, which trusts
+// the canonical entry order instead of sorting, still rejects a section
+// whose rows or distance tree do not match the partition: a CRC-valid
+// but inconsistent section fails as ErrBadSnapshot on the first HYP query
+// while other methods keep serving.
+func TestLazyBadHYPSectionFailsOnTouch(t *testing.T) {
+	owner, dij, _, _, hyp := snapshotWorld(t, 160, 220)
+	qs, err := workload.Generate(owner.Graph(), 4, 2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := qs[0]
+
+	// A distance tree one leaf short of the hyper-edge set.
+	entries := hyp.hyper.Entries()
+	short := *hyp
+	short.distMBT, err = mbt.Build(owner.cfg.Hash, owner.cfg.Fanout, entries[:len(entries)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortPath, _ := writeSnapshotFile(t, owner, dij, &short)
+
+	// A row block missing its last row: numRows decremented and the row's
+	// bytes cut, so the section still parses but no longer covers every
+	// border.
+	_, data := writeSnapshotFile(t, owner, dij, hyp)
+	_, rows := hyp.hyper.Rows()
+	dropRow := func(p []byte) []byte {
+		off := 4 + int(binary.BigEndian.Uint32(p)) // netSig
+		off += 4 + int(binary.BigEndian.Uint32(p[off:])) + 1
+		n := binary.BigEndian.Uint32(p[off:])
+		rowLen := int(binary.BigEndian.Uint32(p[off+4:]))
+		if int(n) != len(rows) || rowLen != len(rows[0]) {
+			t.Fatalf("row header (%d, %d), want (%d, %d)", n, rowLen, len(rows), len(rows[0]))
+		}
+		out := bytes.Clone(p)
+		binary.BigEndian.PutUint32(out[off:], n-1)
+		end := off + 8 + 8*rowLen*int(n)
+		return append(out[:end-8*rowLen], p[end:]...)
+	}
+	dropPath := rewriteSection(t, data, snapKindHYP, dropRow)
+
+	for name, path := range map[string]string{"short tree": shortPath, "dropped row": dropPath} {
+		set, err := OpenProviderSetLazy(path)
+		if err != nil {
+			t.Fatalf("%s: open should not touch method payloads: %v", name, err)
+		}
+		if _, err := set.Provider(DIJ).QueryProof(q.S, q.T); err != nil {
+			t.Fatalf("%s: intact DIJ section should serve: %v", name, err)
+		}
+		for try := 0; try < 2; try++ {
+			if _, err := set.Provider(HYP).QueryProof(q.S, q.T); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("%s, touch %d: got %v, want ErrBadSnapshot", name, try+1, err)
+			}
+		}
+		set.Close()
 	}
 }

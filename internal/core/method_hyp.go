@@ -230,8 +230,9 @@ func (hypImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 	}
 	p2 := &HYPProvider{g: env.Graph, view: env.View, hyper: hyper, netSig: netSig, distSig: distSig}
 	if distTree != nil {
-		entries := hyper.Entries()
-		p2.distMBT, err = mbt.RehydrateTree(entries, distTree)
+		// Entries come in leaf order; RehydrateTree checks that in one pass
+		// and checks the count against the stored leaves.
+		p2.distMBT, err = mbt.RehydrateTree(hyper.Entries(), distTree)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}

@@ -43,6 +43,10 @@ type Hyper struct {
 	// cellBorders caches each cell's border nodes (ascending) so the query
 	// hot path never re-scans cell membership.
 	cellBorders map[geom.CellID][]graph.NodeID
+	// cellGroups holds the border indices of each cell that has borders,
+	// cells ascending and node ids ascending within a cell: the (cell,
+	// node) order that lets Entries emit canonical keys already sorted.
+	cellGroups [][]int
 }
 
 // Build partitions g into approximately p grid cells and materializes all
@@ -110,10 +114,19 @@ func partition(g *graph.Graph, p int) (*Hyper, error) {
 		}
 	}
 	h.cellBorders = make(map[geom.CellID][]graph.NodeID)
+	// Bucketing the ascending border list by cell sorts it by (cell, node)
+	// in one pass.
+	byCell := make([][]int, grid.NumCells())
 	for i, b := range h.Borders {
 		h.borderIdx[b] = i
 		c := h.CellOf[b]
 		h.cellBorders[c] = append(h.cellBorders[c], b)
+		byCell[c] = append(byCell[c], i)
+	}
+	for _, grp := range byCell {
+		if len(grp) > 0 {
+			h.cellGroups = append(h.cellGroups, grp)
+		}
 	}
 	return h, nil
 }
@@ -162,12 +175,24 @@ func Rehydrate(g *graph.Graph, p int, full bool, rows [][]float64) (*Hyper, erro
 	return h, nil
 }
 
-// value returns W*(Borders[i], x) for border x under either storage form.
-func (h *Hyper) value(i int, x graph.NodeID) float64 {
+// at returns W*(Borders[i], Borders[j]) read from row i, under either
+// storage form.
+func (h *Hyper) at(i, j int) float64 {
 	if h.w != nil {
-		return h.w[i][x]
+		return h.w[i][h.Borders[j]]
 	}
-	return h.wb[i][h.borderIdx[x]]
+	return h.wb[i][j]
+}
+
+// pairValue is the hyper-edge value of the border pair (i, j): always read
+// from the lower-indexed border's row. W* comes from independent Dijkstra
+// runs per row and is not guaranteed bitwise symmetric, so the row choice
+// is part of the committed leaf bytes.
+func (h *Hyper) pairValue(i, j int) float64 {
+	if j < i {
+		i, j = j, i
+	}
+	return h.at(i, j)
 }
 
 // HasFullRows reports whether full distance rows have been materialized
@@ -251,14 +276,10 @@ func (h *Hyper) CrossingEntries(inF []bool) []mbt.Entry {
 	out := make([]mbt.Entry, 0, len(bf)*len(bc))
 	for _, i := range bf {
 		for _, j := range bc {
-			lo, hi := i, j
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			u, v := h.Borders[lo], h.Borders[hi]
+			u, v := h.Borders[i], h.Borders[j]
 			out = append(out, mbt.Entry{
 				Key:   HyperKey(u, v, h.CellOf[u], h.CellOf[v]),
-				Value: h.value(lo, v),
+				Value: h.pairValue(i, j),
 			})
 		}
 	}
@@ -276,7 +297,7 @@ func (h *Hyper) RowEntries(i int) []mbt.Entry {
 		v := h.Borders[j]
 		out = append(out, mbt.Entry{
 			Key:   HyperKey(u, v, h.CellOf[u], h.CellOf[v]),
-			Value: h.value(i, v),
+			Value: h.at(i, j),
 		})
 	}
 	return out
@@ -313,10 +334,11 @@ func (h *Hyper) HyperEdge(u, v graph.NodeID) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	if _, ok := h.borderIdx[v]; !ok {
+	j, ok := h.borderIdx[v]
+	if !ok {
 		return 0, false
 	}
-	return h.value(i, v), true
+	return h.at(i, j), true
 }
 
 // Hyper-edge key layout: the distance Merkle B-tree is keyed cell-pair
@@ -353,17 +375,31 @@ func HyperKey(u, v graph.NodeID, cu, cv geom.CellID) mbt.Key {
 
 // Entries materializes all hyper-edges as Merkle B-tree entries under
 // canonical keys, including self-pairs (weight 0) so that border sets of
-// size one still yield a provable key set.
+// size one still yield a provable key set. Entries come out in strictly
+// ascending key order — leaf i of the distance tree is the i-th border
+// pair in (cell_a, cell_b, node_a, node_b) order — by walking cell pairs
+// cA ≤ cB, then u in cA, then v in cB (v ≥ u within one cell), so no
+// consumer ever sorts them. Each value is read from the lower-indexed
+// border's row, exactly as RowEntries derives it.
 func (h *Hyper) Entries() []mbt.Entry {
-	b := len(h.Borders)
-	out := make([]mbt.Entry, 0, b*(b+1)/2)
-	for i := 0; i < b; i++ {
-		for j := i; j < b; j++ {
-			u, v := h.Borders[i], h.Borders[j]
-			out = append(out, mbt.Entry{
-				Key:   HyperKey(u, v, h.CellOf[u], h.CellOf[v]),
-				Value: h.value(i, v),
-			})
+	out := make([]mbt.Entry, 0, h.NumHyperEdges())
+	for a, ga := range h.cellGroups {
+		ca := h.CellOf[h.Borders[ga[0]]]
+		for b, gb := range h.cellGroups[a:] {
+			cb := h.CellOf[h.Borders[gb[0]]]
+			for x, i := range ga {
+				u := h.Borders[i]
+				js := gb
+				if b == 0 {
+					js = gb[x:]
+				}
+				for _, j := range js {
+					out = append(out, mbt.Entry{
+						Key:   HyperKey(u, h.Borders[j], ca, cb),
+						Value: h.pairValue(i, j),
+					})
+				}
+			}
 		}
 	}
 	return out

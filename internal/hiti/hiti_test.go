@@ -3,11 +3,13 @@ package hiti
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -243,6 +245,63 @@ func TestEntriesCoverAllPairsOnce(t *testing.T) {
 		if !ok || math.Abs(w-e.Value) > 1e-9*(1+w) {
 			t.Errorf("entry (%d,%d) value %v, HyperEdge %v ok=%v", u, v, e.Value, w, ok)
 		}
+	}
+}
+
+// rowOrderEntries is the pre-canonical-order derivation: every row's
+// (i, j ≥ i) triangle concatenated, then sorted by key. Entries must equal
+// it key for key and bit for bit.
+func rowOrderEntries(h *Hyper) []mbt.Entry {
+	var out []mbt.Entry
+	for i := 0; i < h.NumBorders(); i++ {
+		out = append(out, h.RowEntries(i)...)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
+	return out
+}
+
+func TestEntriesCanonicalOrderProperty(t *testing.T) {
+	// Over seeded worlds and cell counts from 1 to 400 — fine grids leave
+	// cells with zero or a single border — Entries must be strictly
+	// ascending and equal the sorted row-triangle derivation, under both
+	// W* storage forms.
+	var sawEmpty, sawSingle bool
+	for seed := int64(1); seed <= 6; seed++ {
+		g := spatialGraph(rand.New(rand.NewSource(seed)), 60+40*int(seed))
+		for _, p := range []int{1, 4, 9, 25, 100, 400} {
+			h, err := Build(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := geom.CellID(0); int(c) < h.Grid.NumCells(); c++ {
+				switch len(h.BordersOf(c)) {
+				case 0:
+					sawEmpty = true
+				case 1:
+					sawSingle = true
+				}
+			}
+			for _, hv := range []*Hyper{h, h.WithFullRows(g.Freeze())} {
+				got, want := hv.Entries(), rowOrderEntries(hv)
+				if len(got) != len(want) || len(got) != hv.NumHyperEdges() {
+					t.Fatalf("seed %d p=%d full=%v: %d entries, reference %d, NumHyperEdges %d",
+						seed, p, hv.HasFullRows(), len(got), len(want), hv.NumHyperEdges())
+				}
+				for i, e := range got {
+					if i > 0 && e.Key <= got[i-1].Key {
+						t.Fatalf("seed %d p=%d full=%v: key %d at %d not above %d",
+							seed, p, hv.HasFullRows(), e.Key, i, got[i-1].Key)
+					}
+					if e.Key != want[i].Key || math.Float64bits(e.Value) != math.Float64bits(want[i].Value) {
+						t.Fatalf("seed %d p=%d full=%v: entry %d = (%d, %v), reference (%d, %v)",
+							seed, p, hv.HasFullRows(), i, e.Key, e.Value, want[i].Key, want[i].Value)
+					}
+				}
+			}
+		}
+	}
+	if !sawEmpty || !sawSingle {
+		t.Errorf("worlds never produced a cell with 0 (%v) or 1 (%v) borders", sawEmpty, sawSingle)
 	}
 }
 

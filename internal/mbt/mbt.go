@@ -69,26 +69,21 @@ type Tree struct {
 	mt   *mht.Tree
 }
 
-// Build constructs a tree from entries (sorted internally; duplicate keys
-// are rejected).
+// Build constructs a tree from entries, which must be in strictly ascending
+// key order — entry i becomes leaf i. Disorder and duplicate keys are
+// rejected, not repaired: the leaf order is the caller's determinism
+// obligation, checked here in one pass.
 func Build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
 	if len(entries) == 0 {
 		return nil, errors.New("mbt: no entries")
 	}
-	sorted := append([]Entry(nil), entries...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
-	t := &Tree{
-		keys: make([]Key, len(sorted)),
-		vals: make([]float64, len(sorted)),
+	t, err := newTree(entries)
+	if err != nil {
+		return nil, err
 	}
-	leaves := make([][]byte, len(sorted))
+	leaves := make([][]byte, len(entries))
 	var buf []byte
-	for i, e := range sorted {
-		if i > 0 && e.Key == sorted[i-1].Key {
-			return nil, fmt.Errorf("mbt: duplicate key %d", e.Key)
-		}
-		t.keys[i] = e.Key
-		t.vals[i] = e.Value
+	for i, e := range entries {
 		buf = e.AppendBinary(buf[:0])
 		leaves[i] = alg.Sum(buf)
 	}
@@ -97,6 +92,26 @@ func Build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
 		return nil, err
 	}
 	t.mt = mt
+	return t, nil
+}
+
+// newTree fills a Tree's key and value columns from entries, checking that
+// the keys ascend strictly.
+func newTree(entries []Entry) (*Tree, error) {
+	t := &Tree{
+		keys: make([]Key, len(entries)),
+		vals: make([]float64, len(entries)),
+	}
+	for i, e := range entries {
+		if i > 0 && e.Key <= t.keys[i-1] {
+			if e.Key == t.keys[i-1] {
+				return nil, fmt.Errorf("mbt: duplicate key %d", e.Key)
+			}
+			return nil, fmt.Errorf("mbt: key %d at entry %d is below its predecessor %d", e.Key, i, t.keys[i-1])
+		}
+		t.keys[i] = e.Key
+		t.vals[i] = e.Value
+	}
 	return t, nil
 }
 
@@ -142,9 +157,10 @@ func (t *Tree) MHT() *mht.Tree { return t.mt }
 
 // RehydrateTree reconstructs a Tree from its entries and an already
 // rehydrated Merkle tree, without re-hashing any leaf — the snapshot load
-// path. Entries are sorted internally; duplicates are rejected and the
-// entry count must match the tree's leaf count. Digest values are trusted
-// (see mht.Rehydrate): a lying snapshot produces proofs that fail client
+// path. As in Build, entries must be in strictly ascending key order (entry
+// i is leaf i); disorder and duplicates are rejected, and the entry count
+// must match the tree's leaf count. Digest values are trusted (see
+// mht.Rehydrate): a lying snapshot produces proofs that fail client
 // verification, nothing worse.
 func RehydrateTree(entries []Entry, mt *mht.Tree) (*Tree, error) {
 	if mt == nil {
@@ -153,20 +169,11 @@ func RehydrateTree(entries []Entry, mt *mht.Tree) (*Tree, error) {
 	if len(entries) != mt.NumLeaves() {
 		return nil, fmt.Errorf("mbt: %d entries for %d leaves", len(entries), mt.NumLeaves())
 	}
-	sorted := append([]Entry(nil), entries...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
-	t := &Tree{
-		keys: make([]Key, len(sorted)),
-		vals: make([]float64, len(sorted)),
-		mt:   mt,
+	t, err := newTree(entries)
+	if err != nil {
+		return nil, err
 	}
-	for i, e := range sorted {
-		if i > 0 && e.Key == sorted[i-1].Key {
-			return nil, fmt.Errorf("mbt: duplicate key %d", e.Key)
-		}
-		t.keys[i] = e.Key
-		t.vals[i] = e.Value
-	}
+	t.mt = mt
 	return t, nil
 }
 

@@ -42,6 +42,60 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(digest.SHA1, 4, dup); err == nil {
 		t.Error("duplicate keys accepted")
 	}
+	// Entry order is leaf order: Build checks it rather than sorting.
+	swapped := testEntries(20)
+	swapped[7], swapped[8] = swapped[8], swapped[7]
+	if _, err := Build(digest.SHA1, 4, swapped); err == nil {
+		t.Error("out-of-order keys accepted")
+	}
+	late := testEntries(20)
+	late[19] = late[0]
+	if _, err := Build(digest.SHA1, 4, late); err == nil {
+		t.Error("duplicate key at the tail accepted")
+	}
+}
+
+func TestRehydrateTreeRejectsBadOrder(t *testing.T) {
+	entries := testEntries(40)
+	tr, err := Build(digest.SHA1, 4, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := RehydrateTree(entries, tr.MHT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != tr.Len() || !bytes.Equal(back.Root(), tr.Root()) {
+		t.Error("rehydrated tree differs from the built one")
+	}
+	for _, k := range []Key{entries[0].Key, entries[21].Key, entries[39].Key} {
+		want, _ := tr.Lookup(k)
+		if got, ok := back.Lookup(k); !ok || got != want {
+			t.Errorf("Lookup(%d) = %v, %v after rehydration; want %v", k, got, ok, want)
+		}
+	}
+
+	swapped := append([]Entry(nil), entries...)
+	swapped[0], swapped[39] = swapped[39], swapped[0]
+	dup := append([]Entry(nil), entries...)
+	dup[12] = dup[11]
+	reversed := append([]Entry(nil), entries...)
+	for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+		reversed[i], reversed[j] = reversed[j], reversed[i]
+	}
+	for name, bad := range map[string][]Entry{
+		"swapped":  swapped,
+		"dup":      dup,
+		"reversed": reversed,
+		"short":    entries[:39],
+	} {
+		if _, err := RehydrateTree(bad, tr.MHT()); err == nil {
+			t.Errorf("%s entries accepted", name)
+		}
+	}
+	if _, err := RehydrateTree(entries, nil); err == nil {
+		t.Error("nil merkle tree accepted")
+	}
 }
 
 func TestLookup(t *testing.T) {

@@ -17,11 +17,11 @@
 //	spvsnap audit world.spv
 //
 // verify exits non-zero on the first failure, so it slots into CI and
-// cron-driven fleet audits; info only checks container integrity (CRCs,
-// section framing) and never loads the structures. audit distinguishes
-// its verdicts by exit code: 0 clean, 3 certificate rejected (tampered or
-// mis-labelled state), 1 anything else (unreadable file, no certificate),
-// 2 usage.
+// cron-driven fleet audits; info only checks container integrity (the
+// index tiles the file, every section CRC matches) and never loads the
+// structures. audit distinguishes its verdicts by exit code: 0 clean,
+// 3 certificate rejected (tampered or mis-labelled state), 1 anything
+// else (unreadable file, no certificate), 2 usage.
 package main
 
 import (
@@ -130,59 +130,20 @@ func runInfo(args []string) error {
 		return err
 	}
 	defer f.Close()
-	info, err := snapshot.Scan(f)
+	st, err := f.Stat()
 	if err != nil {
 		return err
 	}
-	idx := "sequential (no index)"
-	if info.Indexed {
-		idx = "indexed"
+	info, err := snapshot.Scan(f, st.Size())
+	if err != nil {
+		return err
 	}
-	fmt.Printf("%s: %d bytes, format v%d (%s), epoch %d, %d sections (all CRCs OK)\n",
-		args[0], info.Bytes, info.Version, idx, info.Epoch, len(info.Sections))
+	fmt.Printf("%s: %d bytes, format v%d, epoch %d, %d sections (index tiles the file, all CRCs OK)\n",
+		args[0], info.Bytes, snapshot.Version, info.Epoch, len(info.Sections))
 	for _, s := range info.Sections {
 		fmt.Printf("  %-10s kind=%d  offset=%10d  %10d bytes  crc=%08x\n",
 			core.SnapshotSectionName(s.Kind), s.Kind, s.Offset, s.Length, s.CRC)
 	}
-	return nil
-}
-
-// auditIndex cross-checks the two ways of finding sections in a
-// container: the trailing index (what lazy opens trust after bounds
-// checks) and a full sequential scan (which re-reads every payload and
-// re-computes every CRC). Any disagreement — count, kind, offset, length
-// or CRC — means the index would send a lazy replica to the wrong bytes.
-func auditIndex(path string) error {
-	f, err := snapshot.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sf, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	info, err := snapshot.Scan(sf)
-	if err != nil {
-		return err
-	}
-	table := f.Sections()
-	if len(table) != len(info.Sections) {
-		return fmt.Errorf("index lists %d sections, sequential scan found %d", len(table), len(info.Sections))
-	}
-	for i, e := range table {
-		s := info.Sections[i]
-		if e != s {
-			return fmt.Errorf("section %d (%s): index says kind=%d offset=%d len=%d crc=%08x, scan says kind=%d offset=%d len=%d crc=%08x",
-				i, core.SnapshotSectionName(s.Kind), e.Kind, e.Offset, e.Length, e.CRC, s.Kind, s.Offset, s.Length, s.CRC)
-		}
-	}
-	mode := "frame walk (v1/no index)"
-	if f.Indexed() {
-		mode = "index"
-	}
-	fmt.Printf("  %s agrees with sequential scan: %d sections\n", mode, len(table))
 	return nil
 }
 
@@ -196,9 +157,8 @@ func runVerify(args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	fs.Parse(args[1:])
 
-	if err := auditIndex(path); err != nil {
-		return fmt.Errorf("index audit: %w", err)
-	}
+	// The eager load walks the index and CRC-checks every section before
+	// decoding it.
 	set, err := core.OpenProviderSet(path)
 	if err != nil {
 		return err

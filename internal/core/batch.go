@@ -39,38 +39,21 @@ type BatchItem struct {
 	Proof  Proof
 }
 
-// BatchVerifier is the optional MethodImpl capability for batch
-// verification. Implementations must be verdict-equivalent to running
-// VerifyProof per item; methods without it get the generic per-item
-// fallback in VerifyBatch.
-type BatchVerifier interface {
-	VerifyProofBatch(v SigVerifier, items []BatchItem) []error
-}
-
 // VerifyBatch client-verifies a batch of proofs of method m, returning one
 // verdict per item (nil = authentic and optimal, exactly as VerifyProof
 // would report). Items sharing an epoch are verified cooperatively; the
 // result is always equivalent to calling VerifyProof per item.
 func VerifyBatch(v SigVerifier, m Method, items []BatchItem) []error {
-	errs := make([]error, len(items))
 	impl, ok := LookupMethod(m)
 	if !ok {
+		errs := make([]error, len(items))
 		err := fmt.Errorf("%w %q", ErrUnknownMethod, m)
 		for i := range errs {
 			errs[i] = err
 		}
 		return errs
 	}
-	if len(items) == 0 {
-		return errs
-	}
-	if bv, ok := impl.(BatchVerifier); ok {
-		return bv.VerifyProofBatch(v, items)
-	}
-	for i, it := range items {
-		errs[i] = impl.VerifyProof(v, it.VS, it.VT, it.Proof)
-	}
-	return errs
+	return impl.VerifyProofBatch(v, items)
 }
 
 // errRetry marks a distinct item the fast path declined to vouch for; the

@@ -25,8 +25,9 @@ import (
 const (
 	proofBatchMagic = "SPB1"
 
-	batchBodyStandalone = 0 // body is the proof's standalone wire encoding
-	batchBodyShared     = 1 // body references the batch tables
+	// Body form 0 is reserved and rejected; every body is the method's
+	// shared form, which references the batch tables.
+	batchBodyShared = 1
 
 	batchItemBody    = 0
 	batchItemBackref = 1
@@ -104,15 +105,6 @@ func (t *batchTables) recAt(i uint32) (tupleRecord, error) {
 		t.recUse++
 	}
 	return t.recs[i], nil
-}
-
-// batchBodyCodec is the optional MethodImpl capability behind the shared
-// body form: encode a proof with its tuple records and signatures as table
-// references. Methods without it ship standalone bodies — the batch still
-// works, it just dedups whole bodies only.
-type batchBodyCodec interface {
-	appendBatchBody(t *batchTables, buf []byte, pr Proof) ([]byte, error)
-	decodeBatchBody(t *batchTables, buf []byte) (Proof, int, error)
 }
 
 func appendRefBlock(t *batchTables, buf []byte, recs []tupleRecord) []byte {
@@ -423,7 +415,6 @@ func AppendProofBatch(buf []byte, m Method, items []BatchItem) ([]byte, error) {
 	if len(items) > maxBatchItems {
 		return nil, fmt.Errorf("%w: %d items exceeds batch limit", ErrMalformedProof, len(items))
 	}
-	codec, _ := impl.(batchBodyCodec)
 	t := newEncodeTables()
 	bodyIdx := make(map[string]uint32, len(items))
 	itemsBuf := binary.BigEndian.AppendUint32(nil, uint32(len(items)))
@@ -433,15 +424,9 @@ func AppendProofBatch(buf []byte, m Method, items []BatchItem) ([]byte, error) {
 		}
 		itemsBuf = binary.BigEndian.AppendUint32(itemsBuf, uint32(it.VS))
 		itemsBuf = binary.BigEndian.AppendUint32(itemsBuf, uint32(it.VT))
-		var body []byte
-		if codec != nil {
-			b, err := codec.appendBatchBody(t, []byte{batchBodyShared}, it.Proof)
-			if err != nil {
-				return nil, err
-			}
-			body = b
-		} else {
-			body = it.Proof.AppendBinary([]byte{batchBodyStandalone})
+		body, err := impl.appendBatchBody(t, []byte{batchBodyShared}, it.Proof)
+		if err != nil {
+			return nil, err
 		}
 		if j, dup := bodyIdx[string(body)]; dup {
 			itemsBuf = append(itemsBuf, batchItemBackref)
@@ -485,7 +470,6 @@ func DecodeProofBatch(buf []byte) (*ProofBatch, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w %q", ErrUnknownMethod, m)
 	}
-	codec, _ := impl.(batchBodyCodec)
 
 	// Signature table.
 	if len(buf[off:]) < 4 {
@@ -576,16 +560,10 @@ func DecodeProofBatch(buf []byte) (*ProofBatch, int, error) {
 			if len(body) < 1 {
 				return nil, 0, fmt.Errorf("%w: empty body at item %d", ErrMalformedProof, i)
 			}
-			var pr Proof
-			var bn int
-			switch {
-			case body[0] == batchBodyShared && codec != nil:
-				pr, bn, err = codec.decodeBatchBody(t, body[1:])
-			case body[0] == batchBodyStandalone && codec == nil:
-				pr, bn, err = impl.DecodeProof(body[1:])
-			default:
+			if body[0] != batchBodyShared {
 				return nil, 0, fmt.Errorf("%w: body form %d not canonical for %s", ErrMalformedProof, body[0], m)
 			}
+			pr, bn, err := impl.decodeBatchBody(t, body[1:])
 			if err != nil {
 				return nil, 0, err
 			}

@@ -64,15 +64,25 @@ func TestProofBatchRoundTrip(t *testing.T) {
 // fuzz target reaches only probabilistically.
 func TestDecodeProofBatchRejects(t *testing.T) {
 	w := world(t)
-	wire, err := AppendProofBatch(nil, DIJ, batchItems(t, w, DIJ, 2))
+	items := batchItems(t, w, DIJ, 2)
+	wire, err := AppendProofBatch(nil, DIJ, items)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One item whose body uses the reserved form 0 (the proof's standalone
+	// wire) under empty tables: structurally complete, never canonical.
+	standalone := append([]byte("SPB1"), appendBytes(nil, []byte(DIJ))...)
+	standalone = append(standalone, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+	standalone = binary.BigEndian.AppendUint32(standalone, uint32(items[0].VS))
+	standalone = binary.BigEndian.AppendUint32(standalone, uint32(items[0].VT))
+	standalone = append(standalone, batchItemBody)
+	standalone = appendBytes(standalone, items[0].Proof.AppendBinary([]byte{0}))
 	cases := map[string][]byte{
-		"empty":          {},
-		"bad magic":      append([]byte("SPBX"), wire[4:]...),
-		"truncated":      wire[:len(wire)/2],
-		"unknown method": append([]byte("SPB1\x00\x00\x00\x04NOPE"), wire[12:]...),
+		"empty":           {},
+		"bad magic":       append([]byte("SPBX"), wire[4:]...),
+		"truncated":       wire[:len(wire)/2],
+		"unknown method":  append([]byte("SPB1\x00\x00\x00\x04NOPE"), wire[12:]...),
+		"reserved form 0": standalone,
 	}
 	for name, buf := range cases {
 		if _, _, err := DecodeProofBatch(buf); err == nil {

@@ -16,18 +16,6 @@ import (
 	"github.com/authhints/spv/internal/sp"
 )
 
-// certifier is an optional MethodImpl capability, like snapshotStreamer
-// and BatchVerifier: a method that implements it can emit its slice of a
-// snapshot certificate at outsourcing time and audit a loaded provider
-// against that slice in linear time. Methods without the capability are
-// rejected cleanly by Owner.Certify and ProviderSet.AuditMethod — a
-// registered third-party method never silently passes an audit it did not
-// implement.
-type certifier interface {
-	buildCert(o *Owner, p Provider) (*cert.MethodCert, error)
-	auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error
-}
-
 // Certify issues a snapshot certificate for the given outsourced
 // providers at the owner's current epoch: per-method labelling rows and
 // Merkle roots, a digest binding the core sections (config, graph, leaf
@@ -69,16 +57,12 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 		if p == nil {
 			continue
 		}
-		cf, ok := impl.(certifier)
-		if !ok {
-			return nil, fmt.Errorf("core: method %s does not support certification", impl.Method())
-		}
 		if ord == nil {
 			if a := p.adsRef(); a != nil {
 				ord = a.ord
 			}
 		}
-		mc, err := cf.buildCert(o, p)
+		mc, err := impl.buildCert(o, p)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +151,7 @@ func (s *ProviderSet) AuditCoreDigest(alg digest.Alg, methods []string) ([]byte,
 }
 
 // AuditMethod implements cert.View: dispatch one certificate slice to its
-// method's certifier. Hydrating the provider (lazy sets) touches exactly
+// method's auditCert. Hydrating the provider (lazy sets) touches exactly
 // this method's snapshot section.
 func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error {
 	m := Method(mc.Method)
@@ -178,14 +162,10 @@ func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier, sc *c
 	if s.Provider(m) == nil {
 		return fmt.Errorf("%w: snapshot carries no %s provider", cert.ErrMethodMissing, m)
 	}
-	cf, ok := impl.(certifier)
-	if !ok {
-		return fmt.Errorf("%w (%s)", cert.ErrUnsupported, m)
-	}
-	return cf.auditCert(s, mc, v, sc)
+	return impl.auditCert(s, mc, v, sc)
 }
 
-// --- shared certifier helpers ---
+// --- shared certificate helpers ---
 
 // certRow runs one owner-side Dijkstra and packages the labelling as a
 // certificate row (certify-time only; audits never run searches).

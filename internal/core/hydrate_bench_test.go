@@ -10,10 +10,10 @@ import (
 	"github.com/authhints/spv/internal/workload"
 )
 
-// Per-layer benchmarks for replica cold start and HYP outsourcing, so a
-// profile (-cpuprofile) can target one layer:
+// Per-layer benchmarks for replica cold start, snapshot persistence and
+// HYP outsourcing, so a profile (-cpuprofile) can target one layer:
 //
-//	go test ./internal/core -run '^$' -bench 'Hydrate|OutsourceHYP' -benchmem
+//	go test ./internal/core -run '^$' -bench 'Hydrate|Snapshot|OutsourceHYP' -benchmem
 
 // benchOwner builds the benchmark world: a 3000-node synthetic network
 // under the default configuration (100 HiTi cells).
@@ -75,6 +75,67 @@ func BenchmarkHydrate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSnapshot times the snapshot path on the standard world (DE at
+// scale 0.05, DIJ+LDM+HYP — spvserve's default served set): save streams
+// the deployment to a file, eager-load reads, CRC-checks and decodes
+// every section, and lazy-open reads only the index and core sections.
+func BenchmarkSnapshot(b *testing.B) {
+	g, err := netgen.Generate(netgen.DE, netgen.Config{Scale: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var provs []Provider
+	for _, m := range []Method{DIJ, LDM, HYP} {
+		p, err := owner.Outsource(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		provs = append(provs, p)
+	}
+	path := filepath.Join(b.TempDir(), "world.spv")
+	save := func(b *testing.B) {
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := owner.WriteSnapshot(f, provs...); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	save(b)
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			save(b)
+		}
+	})
+	b.Run("eager-load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := OpenProviderSet(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lazy-open", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			set, err := OpenProviderSetLazy(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			set.Close()
+		}
+	})
 }
 
 // BenchmarkOutsourceHYP times the owner-side HYP build: HiTi partition,

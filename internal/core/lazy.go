@@ -9,21 +9,23 @@ import (
 	"github.com/authhints/spv/internal/snapshot"
 )
 
-// This file is the lazy half of the snapshot loader: OpenProviderSetLazy
-// opens a snapshot through the container's random-access File handle,
+// This file is the snapshot loader. OpenProviderSetLazy opens a snapshot
+// through the container's random-access File handle (the only reader),
 // decodes only the core sections (config, graph, verifier, ordering —
 // small, needed before any proof), and defers every method section to
 // first use. A replica booted this way answers its first query after
 // O(core sections) work regardless of how many methods — and how many
 // gigabytes of hint rows — the file carries, and a method nobody queries
-// costs no resident bytes beyond a table entry.
+// costs no resident bytes beyond a table entry. The eager loaders
+// (OpenProviderSet, ReadProviderSet) are the same open followed by
+// hydrating every section, so there is one loader with one set of checks.
 //
 // Laziness is layered: each method's section decodes behind a sync.Once
 // on first QueryProof (Merkle levels, signatures, hint rows), and the
 // decoded provider's tuple table fills chunk by chunk as queries touch
-// leaves (see networkADS.msg). Hydration is the same DecodeSnapshot the
-// eager loader runs, against the same frozen view, so a lazily served
-// proof is byte-identical to an eagerly served one — the round-trip
+// leaves (see networkADS.msg). Eager hydration runs the same
+// DecodeSnapshot against the same frozen view, so a lazily served proof
+// is byte-identical to an eagerly served one — the round-trip
 // contract does not weaken, and neither does client verification, which
 // only ever trusts the owner's signed roots. Corruption in a deferred
 // section (the container CRC-verifies payloads on first touch) surfaces
@@ -109,18 +111,19 @@ func unwrapProvider(p Provider) (Provider, error) {
 // byte-identical to OpenProviderSet's and obeys the same concurrency
 // contract; it holds the file open for on-demand reads until Close.
 //
-// Integrity: the container index (or, for v1 files and corrupt indexes, a
-// sequential frame walk) is validated at open; deferred payloads are
-// CRC-checked on first touch, so corruption surfaces as a clean query
-// error, never a panic. Semantic validation of a deferred section also
-// runs at first touch — OpenProviderSet remains the strict
-// validate-everything-now path.
+// Integrity: the container index is validated at open (CRC, bounds and
+// exact tiling of the file — a corrupt index fails the open with
+// snapshot.ErrCorrupt); deferred payloads are CRC-checked on first
+// touch, so corruption surfaces as a clean query error, never a panic.
+// Semantic validation of a deferred section also runs at first touch —
+// OpenProviderSet, which is this open followed by hydrating every
+// section, remains the strict validate-everything-now path.
 func OpenProviderSetLazy(path string) (*ProviderSet, error) {
 	f, err := snapshot.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	set, err := lazySetFromFile(f)
+	set, err := lazySetFromFile(f, true)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -128,8 +131,11 @@ func OpenProviderSetLazy(path string) (*ProviderSet, error) {
 	return set, nil
 }
 
-// lazySetFromFile builds the lazily hydrated set over an open container.
-func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
+// lazySetFromFile builds the lazily hydrated set over an open container:
+// the one loader both opens share. lazyTuples defers leaf tuple encoding
+// to first query touch; the eager path passes false so hydration encodes
+// every tuple up front. Section order in the file is not significant.
+func lazySetFromFile(f *snapshot.File, lazyTuples bool) (*ProviderSet, error) {
 	set := &ProviderSet{Epoch: f.Epoch(), file: f}
 	if set.Epoch < 0 {
 		return nil, fmt.Errorf("%w: negative epoch %d", ErrBadSnapshot, set.Epoch)
@@ -141,9 +147,8 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 		}
 		seen[e.Kind] = true
 		if _, ok := defaultRegistry.lookupKind(e.Kind); !ok && e.Kind > snapKindOrdering && e.Kind != snapKindCert {
-			// Same refusal as the eager loader: unknown kinds are state this
-			// loader does not understand, and a lazy boot must not promise
-			// sections it could never serve.
+			// Unknown kinds are state this loader does not understand, and a
+			// lazy boot must not promise sections it could never serve.
 			return nil, fmt.Errorf("%w: unknown section kind %d", ErrBadSnapshot, e.Kind)
 		}
 	}
@@ -171,7 +176,7 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	if payload, err = coreSection(f, snapKindOrdering); err != nil {
 		return nil, err
 	}
-	env := &SnapshotEnv{Graph: set.Graph, Cfg: set.Cfg, lazyTuples: true}
+	env := &SnapshotEnv{Graph: set.Graph, Cfg: set.Cfg, lazyTuples: lazyTuples}
 	if env.Ord, err = decodeSnapOrdering(payload, set.Graph.NumNodes()); err != nil {
 		return nil, err
 	}
@@ -206,7 +211,7 @@ func coreSection(f *snapshot.File, kind uint32) ([]byte, error) {
 
 // Close releases the snapshot file a lazy open holds. Hydration of a
 // still-cold method fails after Close; decoded providers keep serving.
-// No-op for eagerly loaded sets.
+// No-op for eagerly loaded sets, which hold no file.
 func (s *ProviderSet) Close() error {
 	if s.file == nil {
 		return nil

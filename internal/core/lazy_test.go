@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -161,10 +161,9 @@ func TestLazyCorruptSectionFailsOnTouch(t *testing.T) {
 	}
 }
 
-// TestLazyCorruptIndexFallsBack pins that a damaged index degrades to the
-// sequential frame walk, not to failure: the lazy open still succeeds and
-// every method still serves (the walk re-derives the same section table).
-func TestLazyCorruptIndexFallsBack(t *testing.T) {
+// TestLazyCorruptIndexRejected pins that a damaged index fails both
+// opens with snapshot.ErrCorrupt: there is no fallback walk.
+func TestLazyCorruptIndexRejected(t *testing.T) {
 	owner, dij, full, ldm, hyp := snapshotWorld(t, 160, 220)
 	_, data := writeSnapshotFile(t, owner, dij, full, ldm, hyp)
 
@@ -173,26 +172,78 @@ func TestLazyCorruptIndexFallsBack(t *testing.T) {
 	indexOff := int64(binary.BigEndian.Uint64(data[len(data)-12 : len(data)-4]))
 	bad := bytes.Clone(data)
 	bad[indexOff+12] ^= 0x01
-	path := filepath.Join(t.TempDir(), "badindex.spv")
-	if err := os.WriteFile(path, bad, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	expectCorruptOpens(t, "corrupt index", bad)
+}
 
-	set, err := OpenProviderSetLazy(path)
-	if err != nil {
-		t.Fatalf("corrupt index should fall back to the frame walk: %v", err)
+// expectCorruptOpens writes data to a file and checks that the eager and
+// lazy opens both refuse it with snapshot.ErrCorrupt.
+func expectCorruptOpens(t *testing.T, what string, data []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad.spv")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
 	}
-	defer set.Close()
-	qs, err := workload.Generate(owner.Graph(), 4, 2000, 3)
+	if _, err := OpenProviderSet(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("%s: OpenProviderSet = %v, want ErrCorrupt", what, err)
+	}
+	if set, err := OpenProviderSetLazy(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		if err == nil {
+			set.Close()
+		}
+		t.Errorf("%s: OpenProviderSetLazy = %v, want ErrCorrupt", what, err)
+	}
+}
+
+// TestSnapshotIndexMustTile pins the container's tiling rule through both
+// loaders: junk bytes between two sections, under an index rebuilt so
+// its CRC and every section CRC are valid, make the file corrupt.
+func TestSnapshotIndexMustTile(t *testing.T) {
+	owner, dij, _, ldm, _ := snapshotWorld(t, 100, 140)
+	_, data := writeSnapshotFile(t, owner, dij, ldm)
+	f, err := snapshot.NewFile(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := qs[0]
-	for _, m := range set.Methods() {
-		if _, err := set.Provider(m).QueryProof(q.S, q.T); err != nil {
-			t.Fatalf("%s via walked table: %v", m, err)
-		}
+	entries := f.Sections()
+	last := entries[len(entries)-1]
+	indexOff := last.Offset + 12 + int64(last.Length) + 4
+	junk := []byte("junk")
+	at := entries[1].Offset
+	body := append(append(bytes.Clone(data[:at]), junk...), data[at:indexOff]...)
+	for i := 1; i < len(entries); i++ {
+		entries[i].Offset += int64(len(junk))
 	}
+	// Index and end marker exactly as snapshot.Writer.Close frames them.
+	payload := binary.BigEndian.AppendUint32(nil, uint32(len(entries)))
+	for _, e := range entries {
+		payload = binary.BigEndian.AppendUint32(payload, e.Kind)
+		payload = binary.BigEndian.AppendUint64(payload, uint64(e.Offset))
+		payload = binary.BigEndian.AppendUint64(payload, e.Length)
+		payload = binary.BigEndian.AppendUint32(payload, e.CRC)
+	}
+	head := binary.BigEndian.AppendUint32(nil, snapshot.IndexKind)
+	head = binary.BigEndian.AppendUint64(head, uint64(len(payload)))
+	bad := append(append(body, head...), payload...)
+	bad = binary.BigEndian.AppendUint32(bad, crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload))
+	end := binary.BigEndian.AppendUint32(nil, snapshot.EndKind)
+	end = binary.BigEndian.AppendUint64(end, uint64(len(entries)))
+	end = binary.BigEndian.AppendUint64(end, uint64(len(body)))
+	bad = append(bad, binary.BigEndian.AppendUint32(end, crc32.ChecksumIEEE(end))...)
+
+	if _, err := snapshot.NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("NewFile = %v, want ErrCorrupt", err)
+	}
+	expectCorruptOpens(t, "gap between sections", bad)
+}
+
+// TestSnapshotRejectsReservedFlags pins that a non-zero reserved header
+// flags byte fails both loaders.
+func TestSnapshotRejectsReservedFlags(t *testing.T) {
+	owner, dij, _, _, _ := snapshotWorld(t, 100, 140)
+	_, data := writeSnapshotFile(t, owner, dij)
+	bad := bytes.Clone(data)
+	bad[15] = 0x01 // header: magic 8 | version 4 | flags 4 | epoch 8
+	expectCorruptOpens(t, "reserved flags", bad)
 }
 
 // TestLazyConcurrentFirstTouch hammers a cold set from many goroutines at
@@ -287,29 +338,26 @@ func TestLazyCloseSemantics(t *testing.T) {
 // be caught by the section decoder.
 func rewriteSection(t *testing.T, data []byte, kind uint32, mutate func([]byte) []byte) string {
 	t.Helper()
-	r, err := snapshot.NewReader(bytes.NewReader(data))
+	f, err := snapshot.NewFile(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	w, err := snapshot.NewWriter(&out, r.Epoch())
+	w, err := snapshot.NewWriter(&out, f.Epoch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for {
-		s, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
+	for _, e := range f.Sections() {
+		payload, err := f.Section(e.Kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Kind == kind {
-			s.Payload = mutate(s.Payload)
+		if e.Kind == kind {
+			payload = mutate(payload)
 			found = true
 		}
-		if err := w.Section(s.Kind, s.Payload); err != nil {
+		if err := w.Section(e.Kind, payload); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 
+	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/order"
+	"github.com/authhints/spv/internal/snapshot"
 )
 
 // This file is the method dispatch spine: one MethodImpl per verification
@@ -70,10 +72,13 @@ type SigVerifier interface {
 }
 
 // MethodImpl is the integration contract of one verification method:
-// everything the outsource → sign → serve → patch → snapshot lifecycle
-// needs, behind one value the registry hands to every layer. See
-// DESIGN.md §10 for the full contract a new method must satisfy
-// (determinism obligations, snapshot stored-vs-derived rule).
+// everything the outsource → sign → serve → verify → patch → snapshot →
+// certify lifecycle needs, behind one value the registry hands to every
+// layer. Every method is required; there are no optional capabilities
+// and no generic fallbacks. The unexported methods keep implementations
+// inside this package, like Provider's hooks. See DESIGN.md §10 for the
+// full contract a new method must satisfy (determinism obligations,
+// snapshot stored-vs-derived rule).
 type MethodImpl interface {
 	// Method names the implementation; registry keys and wire "method"
 	// fields use it.
@@ -89,6 +94,9 @@ type MethodImpl interface {
 	// VerifyProof is the client side: a nil error means the reported
 	// path is authentic AND optimal under v's key.
 	VerifyProof(v SigVerifier, vs, vt graph.NodeID, pr Proof) error
+	// VerifyProofBatch verifies items together, returning one verdict
+	// per item; it must be verdict-equivalent to VerifyProof per item.
+	VerifyProofBatch(v SigVerifier, items []BatchItem) []error
 	// Patch derives an updated provider from an applied update batch,
 	// copy-on-write: the old provider keeps serving until swapped, and
 	// the result is byte-identical to a from-scratch re-outsource.
@@ -96,14 +104,26 @@ type MethodImpl interface {
 	// SnapshotKind is the method's snapshot container section kind
 	// (unique across the registry, append-only across versions).
 	SnapshotKind() uint32
-	// AppendSnapshot serializes the provider's snapshot section payload:
-	// stored truth only (Merkle levels, hint rows, signatures); cheap
-	// deterministic derivations are re-derived at load.
-	AppendSnapshot(buf []byte, p Provider) ([]byte, error)
+	// StreamSnapshot writes the provider's snapshot section into sw with
+	// an exact precomputed length: stored truth only (Merkle levels, hint
+	// rows, signatures); cheap deterministic derivations are re-derived
+	// at load.
+	StreamSnapshot(sw *snapshot.Writer, p Provider) error
 	// DecodeSnapshot rehydrates a provider from a section payload and
 	// the shared core state, without recomputing a hash or running a
 	// search.
 	DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error)
+
+	// buildCert emits the method's slice of a snapshot certificate at
+	// certify time; auditCert checks a loaded provider against that
+	// slice in linear time (certify.go).
+	buildCert(o *Owner, p Provider) (*cert.MethodCert, error)
+	auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error
+	// appendBatchBody and decodeBatchBody are the method's SPB1 batch
+	// body: the proof with its tuple records and signatures as table
+	// references (batchwire.go).
+	appendBatchBody(t *batchTables, buf []byte, pr Proof) ([]byte, error)
+	decodeBatchBody(t *batchTables, buf []byte) (Proof, int, error)
 }
 
 // SnapshotEnv is the shared core state every method section decoder

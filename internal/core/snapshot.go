@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sync"
 
 	"github.com/authhints/spv/internal/cert"
@@ -111,7 +110,7 @@ type ProviderSet struct {
 
 	provs map[Method]Provider
 	// view is the frozen CSR every loaded provider searches (set by
-	// ReadProviderSet); RestoreOwner adopts it so the staleness guard's
+	// lazySetFromFile); RestoreOwner adopts it so the staleness guard's
 	// pointer-identity test holds across a restore.
 	view *graph.CSR
 	// file backs a lazily opened set (OpenProviderSetLazy): method
@@ -151,7 +150,9 @@ func (s *ProviderSet) Certificate() (*cert.Certificate, error) {
 			s.certErr = err
 			return
 		}
-		s.cert, s.certErr = cert.DecodeCertificate(payload)
+		if s.cert, err = cert.DecodeCertificate(payload); err != nil {
+			s.certErr = fmt.Errorf("%w: certificate: %v", ErrBadSnapshot, err)
+		}
 	})
 	return s.cert, s.certErr
 }
@@ -296,21 +297,10 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 		if p == nil {
 			continue
 		}
-		// Methods that can declare their section size up front stream it
-		// (hint-row payloads dominate a large snapshot; materializing them
-		// would briefly double the owner's resident set); others fall back
-		// to the buffered AppendSnapshot contract.
-		if streamer, ok := impl.(snapshotStreamer); ok {
-			if err := streamer.StreamSnapshot(sw, p); err != nil {
-				return sw.Bytes(), err
-			}
-			continue
-		}
-		payload, err := impl.AppendSnapshot(nil, p)
-		if err != nil {
-			return sw.Bytes(), err
-		}
-		if err := sw.Section(impl.SnapshotKind(), payload); err != nil {
+		// Method sections stream with a precomputed exact size: hint-row
+		// payloads dominate a large snapshot, and materializing them would
+		// briefly double the owner's resident set.
+		if err := impl.StreamSnapshot(sw, p); err != nil {
 			return sw.Bytes(), err
 		}
 	}
@@ -327,18 +317,8 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 	return sw.Bytes(), nil
 }
 
-// snapshotStreamer is an optional MethodImpl capability: write the
-// method's snapshot section by streaming into the container writer
-// (snapshot.Writer.BeginSection with a precomputed exact length) instead
-// of materializing the whole payload for AppendSnapshot. The streamed
-// bytes must be identical to AppendSnapshot's — the round-trip and golden
-// fixtures pin that equivalence. All four built-in methods implement it.
-type snapshotStreamer interface {
-	StreamSnapshot(sw *snapshot.Writer, p Provider) error
-}
-
-// snapStream adapts a streaming section writer to the append-style
-// encoding helpers, with sticky-error semantics mirroring snapCursor. The
+// snapStream adapts a streaming section writer to the method section
+// encoders, with sticky-error semantics mirroring snapCursor. The
 // bufio layer keeps tree-level and row writes from degenerating into tiny
 // syscalls.
 type snapStream struct {
@@ -382,7 +362,9 @@ func (s *snapStream) bytes(b []byte) {
 	s.write(b)
 }
 
-// tree streams a Merkle tree in appendSnapTree's exact layout.
+// tree streams a Merkle tree, every level verbatim:
+//
+//	alg u8 | fanout u16 | levels u32 | per level: width u32 | width × digest
 func (s *snapStream) tree(t *mht.Tree) {
 	levels := t.Levels()
 	s.u8(byte(t.Alg()))
@@ -404,7 +386,7 @@ func (s *snapStream) flush() error {
 }
 
 // snapBytesSize and snapTreeSize are the size arithmetic behind streaming
-// sections: they must match appendBytes/appendSnapTree byte for byte.
+// sections: they must match snapStream.bytes/tree byte for byte.
 func snapBytesSize(b []byte) uint64 { return 4 + uint64(len(b)) }
 
 func snapTreeSize(t *mht.Tree) uint64 {
@@ -460,114 +442,60 @@ func (s *ProviderSet) sharedOrdering() (*order.Ordering, error) {
 	return ord, nil
 }
 
-// OpenProviderSet loads a snapshot file — the provider cold-start path.
+// OpenProviderSet loads a snapshot file eagerly — the strict
+// validate-everything-now cold start: every section is read, CRC-checked
+// and decoded before it returns, and the file is closed. See
+// ReadProviderSet.
 func OpenProviderSet(path string) (*ProviderSet, error) {
-	f, err := os.Open(path)
+	f, err := snapshot.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadProviderSet(f)
+	return hydrateAll(f)
 }
 
 // ReadProviderSet deserializes a snapshot written by WriteSnapshot /
-// WriteTo. No hash is recomputed and no search is run: Merkle levels,
-// hint rows and signatures come from the file; tuple encodings,
-// quantization, compression and partitions are re-derived in parallel
-// from the loaded graph. All providers share one frozen CSR view. Method
-// sections dispatch to their MethodImpl by section kind.
+// WriteTo from a positioned reader of the given size. It is the lazy
+// open (lazySetFromFile) followed by reading, CRC-checking and decoding
+// every indexed section — each method section and the certificate — so
+// no error is left for a later query to find, and the returned set holds
+// no reference to ra. No hash is recomputed and no search is run:
+// Merkle levels, hint rows and signatures come from the file; tuple
+// encodings, quantization, compression and partitions are re-derived in
+// parallel from the loaded graph. All providers share one frozen CSR
+// view.
 //
 // Round-trip contract (pinned by TestSnapshotRoundTrip): every loaded
 // provider emits proof wire encodings byte-identical to the provider it
 // was saved from, for every query and method.
-func ReadProviderSet(r io.Reader) (*ProviderSet, error) {
-	sr, err := snapshot.NewReader(r)
+func ReadProviderSet(ra io.ReaderAt, size int64) (*ProviderSet, error) {
+	f, err := snapshot.NewFile(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	set := &ProviderSet{Epoch: sr.Epoch()}
-	env := &SnapshotEnv{}
-	var (
-		haveCfg bool
-		seen    = map[uint32]bool{}
-	)
-	coreReady := func() bool {
-		return haveCfg && set.Graph != nil && set.Verifier != nil && env.Ord != nil
+	return hydrateAll(f)
+}
+
+// hydrateAll is the eager loader over an open container: the lazy set,
+// then every method section decoded (tuples encoded up front) and the
+// certificate read. The caller releases f.
+func hydrateAll(f *snapshot.File) (*ProviderSet, error) {
+	set, err := lazySetFromFile(f, false)
+	if err != nil {
+		return nil, err
 	}
-	for {
-		sec, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
+	for _, m := range set.Methods() {
+		p, err := unwrapProvider(set.provs[m])
 		if err != nil {
 			return nil, err
 		}
-		if seen[sec.Kind] {
-			return nil, fmt.Errorf("%w: duplicate section kind %d", ErrBadSnapshot, sec.Kind)
-		}
-		seen[sec.Kind] = true
-		if impl, ok := defaultRegistry.lookupKind(sec.Kind); ok {
-			if !coreReady() {
-				return nil, fmt.Errorf("%w: method section %d before core sections", ErrBadSnapshot, sec.Kind)
-			}
-			if env.View == nil {
-				env.View = set.Graph.Freeze()
-				set.view = env.View
-			}
-			env.Graph, env.Cfg = set.Graph, set.Cfg
-			p, err := impl.DecodeSnapshot(sec.Payload, env)
-			if err != nil {
-				return nil, err
-			}
-			set.SetProvider(p)
-			continue
-		}
-		switch sec.Kind {
-		case snapKindConfig:
-			if set.Cfg, err = decodeSnapConfig(sec.Payload); err != nil {
-				return nil, err
-			}
-			haveCfg = true
-		case snapKindGraph:
-			g, err := graph.ReadBytes(sec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: graph: %v", ErrBadSnapshot, err)
-			}
-			set.Graph = g
-		case snapKindVerifier:
-			v, err := sig.ParseVerifierPEM(sec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: verifier: %v", ErrBadSnapshot, err)
-			}
-			set.Verifier = v
-		case snapKindOrdering:
-			if set.Graph == nil {
-				return nil, fmt.Errorf("%w: ordering section before graph", ErrBadSnapshot)
-			}
-			if env.Ord, err = decodeSnapOrdering(sec.Payload, set.Graph.NumNodes()); err != nil {
-				return nil, err
-			}
-			set.ord = env.Ord
-		case snapKindCert:
-			if set.cert, err = cert.DecodeCertificate(sec.Payload); err != nil {
-				return nil, fmt.Errorf("%w: certificate: %v", ErrBadSnapshot, err)
-			}
-		default:
-			// Unknown kinds within a known version are state this loader
-			// does not understand — refusing beats silently serving less
-			// than the snapshot promises.
-			return nil, fmt.Errorf("%w: unknown section kind %d", ErrBadSnapshot, sec.Kind)
-		}
+		set.provs[m] = p
 	}
-	if !coreReady() {
-		return nil, fmt.Errorf("%w: missing core sections", ErrBadSnapshot)
+	if _, err := set.Certificate(); err != nil {
+		return nil, err
 	}
-	if len(set.provs) == 0 {
-		return nil, fmt.Errorf("%w: no method sections", ErrBadSnapshot)
-	}
-	if set.Epoch < 0 {
-		return nil, fmt.Errorf("%w: negative epoch %d", ErrBadSnapshot, set.Epoch)
-	}
+	set.file = nil
 	return set, nil
 }
 
@@ -700,23 +628,7 @@ func decodeSnapOrdering(buf []byte, numNodes int) (*order.Ordering, error) {
 	return ord, nil
 }
 
-// appendSnapTree encodes a Merkle tree, every level verbatim:
-//
-//	alg u8 | fanout u16 | levels u32 | per level: width u32 | width × digest
-func appendSnapTree(buf []byte, t *mht.Tree) []byte {
-	levels := t.Levels()
-	buf = append(buf, byte(t.Alg()))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(t.Fanout()))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(levels)))
-	for _, lvl := range levels {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(lvl)))
-		for _, d := range lvl {
-			buf = append(buf, d...)
-		}
-	}
-	return buf
-}
-
+// tree decodes a Merkle tree in snapStream.tree's layout.
 func (c *snapCursor) tree() *mht.Tree {
 	alg := digestAlg(c.u8())
 	if c.err == nil && !alg.Valid() {

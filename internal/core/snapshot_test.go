@@ -76,7 +76,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("WriteSnapshot reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
 	if _, err := owner.WriteSnapshot(&buf, dij, full, ldm, hyp); err != nil {
 		t.Fatal(err)
 	}
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSnapshotSubset(t *testing.T) {
 	if _, err := owner.WriteSnapshot(&buf, dij, hyp); err != nil {
 		t.Fatal(err)
 	}
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +255,12 @@ func TestSnapshotCorruption(t *testing.T) {
 	for off := 8; off < len(data); off += 97 {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x20
-		if _, err := ReadProviderSet(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadProviderSet(bytes.NewReader(bad), int64(len(bad))); err == nil {
 			t.Fatalf("flip at %d loaded cleanly", off)
 		}
 	}
 	for _, n := range []int{0, 10, len(data) / 2, len(data) - 1} {
-		if _, err := ReadProviderSet(bytes.NewReader(data[:n])); !errors.Is(err, snapshot.ErrCorrupt) {
+		if _, err := ReadProviderSet(bytes.NewReader(data[:n]), int64(n)); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("truncation at %d: %v", n, err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestRestoreOwner(t *testing.T) {
 	if _, err := owner.WriteSnapshot(&buf, dij); err != nil {
 		t.Fatal(err)
 	}
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

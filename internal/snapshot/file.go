@@ -8,25 +8,23 @@ import (
 	"os"
 )
 
-// File is the random-access face of a snapshot: it opens by reading only
-// the header and the section table — the trailing index when present and
-// valid, a frame walk over section heads otherwise — and reads one
-// payload per Section call with positioned reads. No payload byte is
-// touched at open, which is what keeps a replica's cold start O(sections)
-// instead of O(file size); payload CRCs are verified on first touch, so a
-// lazily hydrated loader surfaces corruption as a clean error from the
-// query that first needs the section.
+// File is the random-access face of a snapshot and its only reader: it
+// opens by reading only the header, the end marker and the trailing index
+// (which must tile the file exactly), and reads one payload per Section
+// call with positioned reads. No payload byte is touched at open, which
+// is what keeps a replica's cold start O(sections) instead of O(file
+// size); payload CRCs are verified on first touch, so a lazily hydrated
+// loader surfaces corruption as a clean error from the query that first
+// needs the section.
 //
 // Safe for concurrent Section calls (io.ReaderAt is required to tolerate
 // concurrent positioned reads, and os.File does).
 type File struct {
-	ra      io.ReaderAt
-	size    int64
-	closer  io.Closer
-	epoch   int64
-	version uint32
-	indexed bool
-	table   []SectionInfo
+	ra     io.ReaderAt
+	size   int64
+	closer io.Closer
+	epoch  int64
+	table  []SectionInfo
 }
 
 // Open opens a snapshot file for random access. The returned File keeps
@@ -52,9 +50,8 @@ func Open(path string) (*File, error) {
 }
 
 // NewFile opens a snapshot over any positioned reader of the given size.
-// A v2 file's index is loaded and validated; a v1 file, or a v2 file
-// whose index is corrupt or unreachable, falls back to a sequential frame
-// walk that reads only section heads (never payloads).
+// The header must carry Version and zero flags, and the index must pass
+// its CRC, bounds and tiling checks; anything else is ErrCorrupt.
 func NewFile(ra io.ReaderAt, size int64) (*File, error) {
 	f := &File{ra: ra, size: size}
 	var head [headerSize]byte
@@ -64,18 +61,14 @@ func NewFile(ra io.ReaderAt, size int64) (*File, error) {
 	if string(head[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:8])
 	}
-	f.version = binary.BigEndian.Uint32(head[8:])
-	if f.version != Version && f.version != versionV1 {
-		return nil, fmt.Errorf("%w: unsupported version %d (reader speaks %d and %d)", ErrCorrupt, f.version, versionV1, Version)
+	if v := binary.BigEndian.Uint32(head[8:]); v != Version {
+		return nil, fmt.Errorf("%w: unsupported version %d (reader speaks %d)", ErrCorrupt, v, Version)
+	}
+	if flags := binary.BigEndian.Uint32(head[12:]); flags != 0 {
+		return nil, fmt.Errorf("%w: reserved header flags %#x", ErrCorrupt, flags)
 	}
 	f.epoch = int64(binary.BigEndian.Uint64(head[16:]))
-	if f.version == Version {
-		if table, err := f.loadIndex(); err == nil {
-			f.table, f.indexed = table, true
-			return f, nil
-		}
-	}
-	table, err := f.walk()
+	table, err := f.loadIndex()
 	if err != nil {
 		return nil, err
 	}
@@ -95,20 +88,12 @@ func (f *File) Close() error {
 // Epoch returns the deployment epoch recorded in the header.
 func (f *File) Epoch() int64 { return f.epoch }
 
-// Version returns the file's format version (1 or 2).
-func (f *File) Version() uint32 { return f.version }
-
-// Indexed reports whether the section table came from a valid trailing
-// index (false for v1 files and for v2 files opened via the fallback
-// walk).
-func (f *File) Indexed() bool { return f.indexed }
-
 // Size returns the file size in bytes.
 func (f *File) Size() int64 { return f.size }
 
 // Sections returns the section table (a copy), in file order. Payload
-// CRCs in a table built by the fallback walk are as recorded in the file,
-// not yet verified — Section verifies on read.
+// CRCs are as the index records them, not yet verified — Section verifies
+// on read.
 func (f *File) Sections() []SectionInfo {
 	return append([]SectionInfo(nil), f.table...)
 }
@@ -171,9 +156,9 @@ func (f *File) pread(p []byte, off int64) error {
 	return err
 }
 
-// loadIndex resolves the trailing index of a v2 file: end marker → index
-// offset → index section, each CRC-checked, every entry bounds-checked
-// against the real file size so a lying index cannot cause reads or
+// loadIndex resolves the trailing index: end marker → index offset →
+// index section, each CRC-checked, and every entry checked to tile the
+// file up to the index, so a lying index cannot cause reads or
 // allocations beyond the file.
 func (f *File) loadIndex() ([]SectionInfo, error) {
 	if f.size < headerSize+endSize {
@@ -201,9 +186,10 @@ func (f *File) loadIndex() ([]SectionInfo, error) {
 	if binary.BigEndian.Uint32(head[:]) != IndexKind {
 		return nil, fmt.Errorf("%w: no index at offset %d", ErrCorrupt, indexOff)
 	}
+	// The index frame must end exactly where the end marker begins.
 	length := binary.BigEndian.Uint64(head[4:])
-	if length > uint64(f.size-endSize-indexOff-sectionHeadSize-4) {
-		return nil, fmt.Errorf("%w: index length %d outside file", ErrCorrupt, length)
+	if length != uint64(f.size-endSize-indexOff-sectionHeadSize-4) {
+		return nil, fmt.Errorf("%w: index of %d bytes does not reach the end marker", ErrCorrupt, length)
 	}
 	buf := make([]byte, length+4)
 	if err := f.pread(buf, indexOff+sectionHeadSize); err != nil {
@@ -213,83 +199,12 @@ func (f *File) loadIndex() ([]SectionInfo, error) {
 	if got := binary.BigEndian.Uint32(tail); got != sectionCRC(head, payload) {
 		return nil, fmt.Errorf("%w: index CRC mismatch", ErrCorrupt)
 	}
-	entries, err := parseIndex(payload)
+	entries, err := parseIndex(payload, indexOff)
 	if err != nil {
 		return nil, err
 	}
 	if uint64(len(entries)) != count {
 		return nil, fmt.Errorf("%w: index lists %d sections, end marker counts %d", ErrCorrupt, len(entries), count)
 	}
-	for _, e := range entries {
-		if e.Offset+sectionHeadSize+int64(e.Length)+4 > indexOff {
-			return nil, fmt.Errorf("%w: index entry kind %d overruns the index", ErrCorrupt, e.Kind)
-		}
-	}
 	return entries, nil
-}
-
-// walk builds the section table sequentially from section heads alone —
-// the open path for v1 files and the fallback for a corrupt v2 index. It
-// validates framing and the end marker but reads no payload; payload CRCs
-// are taken from the file and verified on first Section read.
-func (f *File) walk() ([]SectionInfo, error) {
-	var table []SectionInfo
-	var payloads uint64
-	off := int64(headerSize)
-	for {
-		var head [sectionHeadSize]byte
-		if err := f.pread(head[:], off); err != nil {
-			return nil, fmt.Errorf("%w: section header at %d: %v", ErrCorrupt, off, err)
-		}
-		kind := binary.BigEndian.Uint32(head[:])
-		length := binary.BigEndian.Uint64(head[4:])
-		if kind == EndKind {
-			if err := f.walkEnd(head, length, off); err != nil {
-				return nil, err
-			}
-			if length != payloads {
-				return nil, fmt.Errorf("%w: end marker counts %d sections, walked %d", ErrCorrupt, length, payloads)
-			}
-			return table, nil
-		}
-		if room := f.size - off - sectionHeadSize - 4; room < 0 || length > uint64(room) {
-			return nil, fmt.Errorf("%w: section kind %d length %d outside file", ErrCorrupt, kind, length)
-		}
-		var tail [4]byte
-		if err := f.pread(tail[:], off+sectionHeadSize+int64(length)); err != nil {
-			return nil, fmt.Errorf("%w: section kind %d CRC truncated: %v", ErrCorrupt, kind, err)
-		}
-		if kind != IndexKind {
-			payloads++
-			table = append(table, SectionInfo{
-				Kind: kind, Offset: off, Length: length,
-				CRC: binary.BigEndian.Uint32(tail[:]),
-			})
-		}
-		off += sectionHeadSize + int64(length) + 4
-	}
-}
-
-// walkEnd validates the version-appropriate end marker during a walk.
-func (f *File) walkEnd(head [sectionHeadSize]byte, count uint64, off int64) error {
-	if f.version == versionV1 {
-		var tail [4]byte
-		if err := f.pread(tail[:], off+sectionHeadSize); err != nil {
-			return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
-		}
-		if got := binary.BigEndian.Uint32(tail[:]); got != crc32.ChecksumIEEE(head[:12]) {
-			return fmt.Errorf("%w: end marker CRC mismatch", ErrCorrupt)
-		}
-		return nil
-	}
-	var tail [12]byte
-	if err := f.pread(tail[:], off+sectionHeadSize); err != nil {
-		return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
-	}
-	crc := crc32.ChecksumIEEE(head[:12])
-	crc = crc32.Update(crc, crc32.IEEETable, tail[:8])
-	if got := binary.BigEndian.Uint32(tail[8:]); got != crc {
-		return fmt.Errorf("%w: end marker CRC mismatch", ErrCorrupt)
-	}
-	return nil
 }

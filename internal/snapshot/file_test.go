@@ -6,17 +6,18 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// buildV1 hand-writes a version-1 snapshot (no index, 16-byte end marker)
-// — the compatibility fixture current writers can no longer produce.
-func buildV1(epoch int64, sections ...Section) []byte {
+// buildV1 hand-writes a version-1 snapshot (no index, 16-byte end
+// marker) — the retired format readers refuse.
+func buildV1(epoch int64, sections ...section) []byte {
 	var buf bytes.Buffer
 	head := make([]byte, headerSize)
 	copy(head, magic)
-	binary.BigEndian.PutUint32(head[8:], versionV1)
+	binary.BigEndian.PutUint32(head[8:], 1)
 	binary.BigEndian.PutUint64(head[16:], uint64(epoch))
 	buf.Write(head)
 	for _, s := range sections {
@@ -29,7 +30,7 @@ func buildV1(epoch int64, sections ...Section) []byte {
 		binary.BigEndian.PutUint32(tail[:], sectionCRC(sh, s.Payload))
 		buf.Write(tail[:])
 	}
-	var end [endSizeV1]byte
+	var end [sectionHeadSize + 4]byte
 	binary.BigEndian.PutUint32(end[:], EndKind)
 	binary.BigEndian.PutUint64(end[4:], uint64(len(sections)))
 	binary.BigEndian.PutUint32(end[12:], crc32.ChecksumIEEE(end[:12]))
@@ -37,7 +38,71 @@ func buildV1(epoch int64, sections ...Section) []byte {
 	return buf.Bytes()
 }
 
-var fileSections = []Section{
+// reindex appends an index listing entries, then an end marker, to body
+// (a header followed by section frames), with every CRC valid — so the
+// only defect a result can have is how its index covers the file.
+func reindex(body []byte, entries []SectionInfo) []byte {
+	payload := binary.BigEndian.AppendUint32(nil, uint32(len(entries)))
+	for _, e := range entries {
+		payload = binary.BigEndian.AppendUint32(payload, e.Kind)
+		payload = binary.BigEndian.AppendUint64(payload, uint64(e.Offset))
+		payload = binary.BigEndian.AppendUint64(payload, e.Length)
+		payload = binary.BigEndian.AppendUint32(payload, e.CRC)
+	}
+	var head [sectionHeadSize]byte
+	binary.BigEndian.PutUint32(head[:], IndexKind)
+	binary.BigEndian.PutUint64(head[4:], uint64(len(payload)))
+	out := append(bytes.Clone(body), head[:]...)
+	out = append(out, payload...)
+	out = binary.BigEndian.AppendUint32(out, sectionCRC(head, payload))
+	end := binary.BigEndian.AppendUint32(nil, EndKind)
+	end = binary.BigEndian.AppendUint64(end, uint64(len(entries)))
+	end = binary.BigEndian.AppendUint64(end, uint64(len(body)))
+	end = binary.BigEndian.AppendUint32(end, crc32.ChecksumIEEE(end))
+	return append(out, end...)
+}
+
+// untiled returns copies of a valid snapshot of fileSections whose CRCs
+// all check out but whose index does not tile the file: junk bytes
+// before, between or after the sections, an unindexed section, and junk
+// between the index and the end marker.
+func untiled(t testing.TB) map[string][]byte {
+	t.Helper()
+	data := buildSnapshot(t, 9, fileSections...)
+	f, err := NewFile(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := f.Sections()
+	last := entries[len(entries)-1]
+	body := data[:last.Offset+sectionHeadSize+int64(last.Length)+4]
+	if !bytes.Equal(reindex(body, entries), data) {
+		t.Fatal("reindex does not reproduce the writer's bytes")
+	}
+	junk := []byte("junk")
+	gapAt := func(i int) []byte {
+		at := int64(len(body))
+		shifted := append([]SectionInfo(nil), entries...)
+		if i < len(entries) {
+			at = entries[i].Offset
+			for j := i; j < len(shifted); j++ {
+				shifted[j].Offset += int64(len(junk))
+			}
+		}
+		gapped := append(append(bytes.Clone(body[:at]), junk...), body[at:]...)
+		return reindex(gapped, shifted)
+	}
+	tail := len(data) - endSize
+	return map[string][]byte{
+		"leading-gap":           gapAt(0),
+		"gap-between":           gapAt(1),
+		"trailing-gap":          gapAt(len(entries)),
+		"unindexed-section":     reindex(body, entries[:len(entries)-1]),
+		"gap-before-end-marker": append(append(bytes.Clone(data[:tail]), junk...), data[tail:]...),
+	}
+}
+
+var fileSections = []section{
 	{Kind: 1, Payload: []byte("config")},
 	{Kind: 2, Payload: bytes.Repeat([]byte{0xC4}, 5000)},
 	{Kind: 8, Payload: []byte{}},
@@ -78,44 +143,51 @@ func TestFileIndexedOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Indexed() || f.Version() != Version {
-		t.Fatalf("indexed=%v version=%d", f.Indexed(), f.Version())
-	}
 	if f.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d", f.Size())
 	}
 	checkFileReads(t, f)
 }
 
-func TestFileV1FallbackWalk(t *testing.T) {
+// TestFileV1Refused pins the version rule: the index-less v1 format is
+// no longer read, by File or by Scan.
+func TestFileV1Refused(t *testing.T) {
 	data := buildV1(9, fileSections...)
-	f, err := NewFile(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewFile(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrCorrupt) ||
+		!strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 file: %v", err)
 	}
-	if f.Indexed() || f.Version() != versionV1 {
-		t.Fatalf("indexed=%v version=%d", f.Indexed(), f.Version())
+	if err := readAll(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 scan: %v", err)
 	}
-	checkFileReads(t, f)
+}
 
-	// The sequential reader keeps speaking v1 too.
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+// TestFileIndexMustTile pins the tiling rule: an index with a valid CRC
+// that skips junk bytes or an unindexed section is corrupt.
+func TestFileIndexMustTile(t *testing.T) {
+	for name, bad := range untiled(t) {
+		if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: NewFile = %v, want ErrCorrupt", name, err)
+		}
+		if err := readAll(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Scan = %v, want ErrCorrupt", name, err)
+		}
 	}
-	for i := 0; ; i++ {
-		s, err := r.Next()
-		if err == io.EOF {
-			if i != len(fileSections) {
-				t.Fatalf("read %d sections", i)
-			}
-			break
+}
+
+// TestFileRejectsReservedFlags pins that the header's reserved flags word
+// must be zero: no CRC covers the header, so a flipped flags byte would
+// otherwise load cleanly.
+func TestFileRejectsReservedFlags(t *testing.T) {
+	data := buildSnapshot(t, 9, fileSections...)
+	for i := 12; i < 16; i++ {
+		bad := bytes.Clone(data)
+		bad[i] ^= 0x01
+		if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flags byte %d: NewFile = %v, want ErrCorrupt", i, err)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Kind != fileSections[i].Kind {
-			t.Fatalf("section %d kind %d", i, s.Kind)
+		if err := readAll(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flags byte %d: Scan = %v, want ErrCorrupt", i, err)
 		}
 	}
 }
@@ -131,42 +203,31 @@ func indexPayloadRange(t *testing.T, data []byte) (start, end int) {
 	return indexOff + sectionHeadSize, indexOff + sectionHeadSize + length
 }
 
-func TestFileCorruptIndexFallsBackToWalk(t *testing.T) {
+// TestFileCorruptIndexRejected pins that a flipped index byte makes the
+// whole file corrupt: there is no fallback walk over intact sections.
+func TestFileCorruptIndexRejected(t *testing.T) {
 	data := buildSnapshot(t, 9, fileSections...)
 	bad := append([]byte(nil), data...)
 	start, _ := indexPayloadRange(t, bad)
 	bad[start+2] ^= 0xFF // flip an index payload byte; sections are intact
-	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt index: %v", err)
 	}
-	if f.Indexed() {
-		t.Fatal("corrupt index reported as indexed")
-	}
-	checkFileReads(t, f)
-
-	// The strict sequential paths must still reject the file outright.
 	if err := readAll(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("sequential read of corrupt index: %v", err)
+		t.Fatalf("scan of corrupt index: %v", err)
 	}
 }
 
-func TestFileTruncatedIndexFallsBackToWalk(t *testing.T) {
+func TestFileTruncatedIndexRejected(t *testing.T) {
 	data := buildSnapshot(t, 9, fileSections...)
-	// Rewrite the end marker to point the index past the file tail: the
-	// index is unreachable, but the walk still serves every section.
+	// Rewrite the end marker to point the index past the file tail.
 	bad := append([]byte(nil), data...)
 	off := len(bad) - endSize
 	binary.BigEndian.PutUint64(bad[off+12:], uint64(len(bad)))
 	fixEndCRC(bad, off)
-	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unreachable index: %v", err)
 	}
-	if f.Indexed() {
-		t.Fatal("unreachable index reported as indexed")
-	}
-	checkFileReads(t, f)
 }
 
 func TestFileSectionCRCVerifiedOnTouch(t *testing.T) {
@@ -192,22 +253,16 @@ func TestFileLyingIndexDoesNotOverAllocate(t *testing.T) {
 	data := buildSnapshot(t, 9, fileSections...)
 	// Patch an index entry's length to a giant value, fixing the index
 	// CRC so only the bounds checks can catch it. NewFile must reject the
-	// index (entry overruns it) and fall back; the walk sees the real
-	// sections, so nothing allocates beyond the file.
+	// file before allocating anything for the lying entry.
 	bad := append([]byte(nil), data...)
 	start, end := indexPayloadRange(t, bad)
 	binary.BigEndian.PutUint64(bad[start+4+12:], 1<<60)
 	var head [sectionHeadSize]byte
 	copy(head[:], bad[start-sectionHeadSize:start])
 	binary.BigEndian.PutUint32(bad[end:], sectionCRC(head, bad[start:end]))
-	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("lying index: %v", err)
 	}
-	if f.Indexed() {
-		t.Fatal("lying index accepted")
-	}
-	checkFileReads(t, f)
 }
 
 func TestFileConcurrentSectionReads(t *testing.T) {
@@ -296,27 +351,15 @@ func TestStreamingSectionLengthEnforced(t *testing.T) {
 }
 
 func TestScanReportsVersionAndIndex(t *testing.T) {
-	data := buildSnapshot(t, 3, Section{Kind: 1, Payload: []byte("x")})
-	info, err := Scan(bytes.NewReader(data))
+	data := buildSnapshot(t, 3, section{Kind: 1, Payload: []byte("x")})
+	info, err := Scan(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != Version || !info.Indexed {
-		t.Fatalf("version=%d indexed=%v", info.Version, info.Indexed)
+	if len(info.Sections) != 1 || info.Sections[0].Offset != headerSize {
+		t.Fatalf("sections = %+v", info.Sections)
 	}
-	if info.Sections[0].Offset != headerSize {
-		t.Fatalf("offset = %d", info.Sections[0].Offset)
-	}
-
-	v1 := buildV1(3, Section{Kind: 1, Payload: []byte("x")})
-	info, err = Scan(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != versionV1 || info.Indexed {
-		t.Fatalf("v1: version=%d indexed=%v", info.Version, info.Indexed)
-	}
-	if info.Bytes != int64(len(v1)) {
-		t.Fatalf("v1 Bytes = %d, file is %d", info.Bytes, len(v1))
+	if info.Bytes != int64(len(data)) {
+		t.Fatalf("Bytes = %d, file is %d", info.Bytes, len(data))
 	}
 }

@@ -2,99 +2,67 @@ package snapshot
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
-// FuzzReader feeds arbitrary bytes through the container reader: any input
-// must either parse fully or return an error — never panic, and never
+// fuzzSeeds returns structured seed inputs shared by the fuzzers: a valid
+// file, truncations, an index-corrupted mutant, an index with a valid CRC
+// that leaves a gap, a file with a non-zero reserved flags byte, and
+// degenerate inputs.
+func fuzzSeeds(f *testing.F) [][]byte {
+	valid := buildSnapshot(f, 11,
+		section{Kind: 1, Payload: []byte("config")},
+		section{Kind: 5, Payload: bytes.Repeat([]byte{0x3C}, 900)})
+	mutant := bytes.Clone(valid)
+	mutant[len(mutant)-30] ^= 0xFF // lands in the index or end marker
+	flags := bytes.Clone(valid)
+	flags[12] = 0x80
+	return [][]byte{
+		valid,
+		mutant,
+		untiled(f)["gap-between"],
+		valid[:headerSize+5],
+		flags,
+		valid[:len(valid)-5],
+		valid[:headerSize+3],
+		[]byte("SPVSNAP1"),
+		{},
+	}
+}
+
+// FuzzScan drives arbitrary bytes through the inspection path: any input
+// must either scan fully or return an error — never panic, and never
 // allocate proportionally to a lying length field (the run completing
 // under the fuzzer's memory limits is the allocation assertion).
-func FuzzReader(f *testing.F) {
-	// Seed with a valid snapshot and a few structured mutants.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 3)
-	if err != nil {
-		f.Fatal(err)
-	}
-	_ = w.Section(1, []byte("config-payload"))
-	_ = w.Section(2, bytes.Repeat([]byte{0x5A}, 600))
-	_ = w.Close()
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])
-	f.Add(valid[:headerSize+3])
-	f.Add(buildV1(3, Section{Kind: 1, Payload: []byte("config-payload")}))
-	f.Add([]byte("SPVSNAP1"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		total := 0
-		for {
-			s, err := r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
-			total += len(s.Payload)
-			if total > len(data) {
-				t.Fatalf("decoded %d payload bytes from a %d-byte input", total, len(data))
-			}
-		}
-	})
-}
-
-// FuzzScan mirrors FuzzReader through the inspection path.
 func FuzzScan(f *testing.F) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 0)
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
 	}
-	_ = w.Section(4, []byte{1, 2, 3})
-	_ = w.Close()
-	f.Add(buf.Bytes())
-	f.Add(buildV1(0, Section{Kind: 4, Payload: []byte{1, 2, 3}}))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		info, err := Scan(bytes.NewReader(data))
+		info, err := Scan(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
-		if info.Bytes <= 0 || info.Bytes > int64(len(data)) {
+		if info.Bytes != int64(len(data)) {
 			t.Fatalf("Scan reports %d bytes of a %d-byte input", info.Bytes, len(data))
 		}
+		var total uint64
+		for _, s := range info.Sections {
+			total += s.Length
+		}
+		if total > uint64(len(data)) {
+			t.Fatalf("scanned %d payload bytes from a %d-byte input", total, len(data))
+		}
 	})
 }
 
-// FuzzFile drives the random-access path: arbitrary bytes must open via
-// the index or the fallback walk (or error) — never panic — and every
-// section read must be backed by real file bytes, so a lying index or
-// length field cannot over-allocate. Seeds include a valid v2 file, its
-// index-corrupted mutant (exercising the fallback walk), and a v1 file.
+// FuzzFile drives the random-access path: arbitrary bytes must open (or
+// error) — never panic — and every section read must be backed by real
+// file bytes, so a lying index or length field cannot over-allocate.
 func FuzzFile(f *testing.F) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 11)
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
 	}
-	_ = w.Section(1, []byte("config"))
-	_ = w.Section(5, bytes.Repeat([]byte{0x3C}, 900))
-	_ = w.Close()
-	valid := buf.Bytes()
-	f.Add(valid)
-	mutant := append([]byte(nil), valid...)
-	mutant[len(mutant)-30] ^= 0xFF // lands in the index or end marker
-	f.Add(mutant)
-	f.Add(buildV1(11, Section{Kind: 1, Payload: []byte("config")}))
-	f.Add(valid[:headerSize+5])
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := NewFile(bytes.NewReader(data), int64(len(data)))
 		if err != nil {

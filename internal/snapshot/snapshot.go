@@ -31,31 +31,39 @@
 // reserved for the end marker and kind 0xFFFFFFFF for the index; payload
 // semantics for other kinds belong to the producing layer.
 //
-// Version-1 files (no index; 16-byte end marker without indexOff) remain
-// fully readable: the sequential Reader speaks both versions, and File
-// falls back to a frame walk — reading only section heads, never payloads
-// — when a file is v1 or its index is corrupt.
+// File is the only reader: it opens by validating the end marker and the
+// index, and reads one payload per Section call with a positioned read.
+// The index must tile the file exactly — the first section starts right
+// after the header, each next section starts where the previous frame
+// ends, the last frame ends at the index, and the index frame ends at the
+// end marker — so no byte of a valid file lies outside a CRC-checked
+// frame except the header. An index that fails its CRC, bounds or tiling
+// checks makes the whole file ErrCorrupt; there is no fallback walk.
+// Scan reads and CRC-checks every indexed section; eager loaders do the
+// same and then decode.
 //
 // # Version and compatibility rules
 //
 // Version is bumped whenever any payload encoding changes shape — the
 // format carries precomputed Merkle digests, so there is no such thing as
 // a tolerant re-interpretation: a reader either understands a version
-// exactly or refuses it. Unknown section kinds within a known version are
-// skippable by Scan (inspection) but are an error for semantic loaders,
-// which must not silently drop state they do not understand.
+// exactly or refuses it. Readers speak version 2 only: a version-1 file
+// (no index) is refused as ErrCorrupt, and so is a header whose reserved
+// flags are not zero. The header epoch is covered by no CRC; closing that
+// gap needs a new version. Unknown section kinds within a known version
+// are skippable by Scan (inspection) but are an error for semantic
+// loaders, which must not silently drop state they do not understand.
 //
 // # Robustness
 //
-// Readers never trust a declared length: sequential reads grow payload
-// buffers in bounded chunks as bytes actually arrive, and File validates
-// every index offset and length against the real file size before
-// allocating, so a lying length field cannot translate into a giant
-// speculative allocation. Corruption — flipped payload bytes, truncated
-// files, wrong section counts, a lying index — is reported as an error
-// wrapping ErrCorrupt, never a panic. A payload read through File is CRC-
-// verified at read time (first touch), so lazy loaders surface corruption
-// as a clean error from the query that first needs the section.
+// Readers never trust a declared length: File validates every index
+// offset and length against the real file size before allocating, so a
+// lying length field cannot translate into a giant speculative
+// allocation. Corruption — flipped payload bytes, truncated files, wrong
+// section counts, a lying index — is reported as an error wrapping
+// ErrCorrupt, never a panic. A payload read through File is CRC-verified
+// at read time (first touch), so lazy loaders surface corruption as a
+// clean error from the query that first needs the section.
 package snapshot
 
 import (
@@ -66,14 +74,10 @@ import (
 	"io"
 )
 
-// Version is the current snapshot format version. Writers emit it;
-// readers additionally accept version 1 (the pre-index format, identical
-// except for the trailing index and the shorter end marker).
+// Version is the snapshot format version. Writers emit it and readers
+// accept nothing else: version-1 files (no index) are refused as
+// ErrCorrupt (DESIGN.md §13.1).
 const Version = 2
-
-// versionV1 is the legacy, index-less format both Reader and File still
-// accept.
-const versionV1 = 1
 
 // magic identifies snapshot files; the trailing "1" is a human-visible
 // format generation, distinct from the finer-grained version field.
@@ -83,15 +87,16 @@ const magic = "SPVSNAP1"
 // must number their sections from 1.
 const EndKind = 0
 
-// IndexKind is the reserved section kind of the trailing index. The
-// sequential Reader validates and consumes it internally; it is never
-// surfaced as a payload section.
+// IndexKind is the reserved section kind of the trailing index. File
+// validates and consumes it at open; it is never surfaced as a payload
+// section.
 const IndexKind = 0xFFFFFFFF
 
 // ErrCorrupt tags every integrity failure a reader can detect: bad magic,
-// unsupported version, truncation, CRC mismatch, a section count that
-// does not match the end marker, or an index that disagrees with the
-// sections it describes. Callers test with errors.Is.
+// unsupported version, non-zero reserved flags, truncation, CRC mismatch,
+// a section count that does not match the end marker, or an index that
+// fails to tile the file or disagrees with the sections it describes.
+// Callers test with errors.Is.
 var ErrCorrupt = errors.New("snapshot: corrupt")
 
 // ErrNoSection reports a File.Section lookup for a kind the file does not
@@ -108,17 +113,9 @@ const sectionHeadSize = 4 + 8
 // kind u32 | offset u64 | length u64 | crc u32.
 const indexEntrySize = 4 + 8 + 8 + 4
 
-// endSizeV1 and endSize are the full end-marker sizes (head + tail) of
-// the two accepted versions: v1 has no indexOff field.
-const (
-	endSizeV1 = sectionHeadSize + 4
-	endSize   = sectionHeadSize + 8 + 4
-)
-
-// readChunk bounds how much a reader allocates ahead of verified bytes:
-// payloads grow in readChunk steps as data actually arrives, so a lying
-// length field cannot translate into a giant speculative allocation.
-const readChunk = 1 << 20
+// endSize is the full end-marker size: kind u32 | count u64 |
+// indexOff u64 | crc u32.
+const endSize = sectionHeadSize + 8 + 4
 
 // SectionInfo describes one section without retaining its payload: its
 // kind, its file offset (of the kind field), its payload length and its
@@ -156,9 +153,9 @@ type streamState struct {
 	crc       uint32
 }
 
-// NewWriter writes the header and returns a writer ready for Section
-// calls. epoch is the deployment's update-batch counter, surfaced in the
-// header so inspectors can report it without parsing any payload.
+// NewWriter writes the header and returns a writer ready for sections.
+// epoch is the deployment's update-batch counter, surfaced in the header
+// so inspectors can report it without parsing any payload.
 func NewWriter(w io.Writer, epoch int64) (*Writer, error) {
 	sw := &Writer{w: w}
 	var buf [headerSize]byte
@@ -201,31 +198,18 @@ func (sw *Writer) checkKind(kind uint32) error {
 	return nil
 }
 
-// Section appends one framed section: kind, length, payload, payload CRC.
-// kind must not be a reserved kind. The payload is not retained.
+// Section appends one framed section holding payload: BeginSection, one
+// write, EndSection. kind must not be a reserved kind. The payload is not
+// retained.
 func (sw *Writer) Section(kind uint32, payload []byte) error {
-	if err := sw.checkKind(kind); err != nil {
+	w, err := sw.BeginSection(kind, uint64(len(payload)))
+	if err != nil {
 		return err
 	}
-	offset := sw.written
-	var head [sectionHeadSize]byte
-	binary.BigEndian.PutUint32(head[:], kind)
-	binary.BigEndian.PutUint64(head[4:], uint64(len(payload)))
-	if err := sw.write(head[:]); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	if err := sw.write(payload); err != nil {
-		return err
-	}
-	crc := sectionCRC(head, payload)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
-	if err := sw.write(tail[:]); err != nil {
-		return err
-	}
-	sw.sections++
-	sw.index = append(sw.index, SectionInfo{Kind: kind, Offset: offset, Length: uint64(len(payload)), CRC: crc})
-	return nil
+	return sw.EndSection()
 }
 
 // BeginSection opens a streaming section of exactly length payload bytes
@@ -361,174 +345,12 @@ func sectionCRC(head [sectionHeadSize]byte, payload []byte) uint32 {
 // Bytes returns the total bytes written so far, including framing.
 func (sw *Writer) Bytes() int64 { return sw.written }
 
-// Section is one decoded section: its kind, its file offset, and its
-// CRC-verified payload. The payload is owned by the caller.
-type Section struct {
-	Kind    uint32
-	Offset  int64
-	Payload []byte
-}
-
-// Reader streams sections back from an io.Reader, verifying every CRC and
-// the end marker's section count. It speaks both format versions; a v2
-// file's index is validated and consumed internally, never surfaced as a
-// section. Not safe for concurrent use.
-type Reader struct {
-	r        io.Reader
-	epoch    int64
-	version  uint32
-	sections uint64
-	off      int64
-	indexOff int64 // offset of the index section, 0 until seen
-	indexed  bool
-	done     bool
-}
-
-// NewReader parses and validates the header. The reader consumes r
-// strictly sequentially, so r need not be seekable.
-func NewReader(r io.Reader) (*Reader, error) {
-	var buf [headerSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return nil, fmt.Errorf("%w: header truncated: %v", ErrCorrupt, err)
-	}
-	if string(buf[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[:8])
-	}
-	v := binary.BigEndian.Uint32(buf[8:])
-	if v != Version && v != versionV1 {
-		return nil, fmt.Errorf("%w: unsupported version %d (reader speaks %d and %d)", ErrCorrupt, v, versionV1, Version)
-	}
-	return &Reader{r: r, epoch: int64(binary.BigEndian.Uint64(buf[16:])), version: v, off: headerSize}, nil
-}
-
-// Epoch returns the deployment epoch recorded in the header.
-func (sr *Reader) Epoch() int64 { return sr.epoch }
-
-// Version returns the file's format version (1 or 2).
-func (sr *Reader) Version() uint32 { return sr.version }
-
-// Indexed reports whether a valid index section has been consumed. Only
-// meaningful once Next has returned io.EOF.
-func (sr *Reader) Indexed() bool { return sr.indexed }
-
-func (sr *Reader) read(p []byte) error {
-	n, err := io.ReadFull(sr.r, p)
-	sr.off += int64(n)
-	return err
-}
-
-// Next returns the next payload section, or io.EOF after a valid end
-// marker. Any integrity failure returns an error wrapping ErrCorrupt; once
-// an error or EOF is returned the reader is exhausted.
-func (sr *Reader) Next() (*Section, error) {
-	for {
-		if sr.done {
-			return nil, io.EOF
-		}
-		offset := sr.off
-		var head [sectionHeadSize]byte
-		if err := sr.read(head[:]); err != nil {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section header truncated: %v", ErrCorrupt, err)
-		}
-		kind := binary.BigEndian.Uint32(head[:])
-		length := binary.BigEndian.Uint64(head[4:])
-		if kind == EndKind {
-			sr.done = true
-			return nil, sr.endMarker(head, length)
-		}
-		payload, err := readBounded(sr.r, length)
-		sr.off += int64(len(payload))
-		if err != nil {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section kind %d payload: %v", ErrCorrupt, kind, err)
-		}
-		var tail [4]byte
-		if err := sr.read(tail[:]); err != nil {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section kind %d CRC truncated: %v", ErrCorrupt, kind, err)
-		}
-		if got := binary.BigEndian.Uint32(tail[:]); got != sectionCRC(head, payload) {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section kind %d CRC mismatch", ErrCorrupt, kind)
-		}
-		if kind == IndexKind {
-			// The index is container metadata: validate its shape here and
-			// keep streaming — semantic loaders never see it.
-			if err := sr.checkIndex(payload, offset); err != nil {
-				sr.done = true
-				return nil, err
-			}
-			continue
-		}
-		sr.sections++
-		return &Section{Kind: kind, Offset: offset, Payload: payload}, nil
-	}
-}
-
-// checkIndex validates an index section encountered mid-stream: well-
-// formed, one per file, v2 only, and counting exactly the sections read
-// so far (the index is written last, so a stray early index is corrupt).
-func (sr *Reader) checkIndex(payload []byte, offset int64) error {
-	if sr.version == versionV1 {
-		return fmt.Errorf("%w: index section in a version-1 file", ErrCorrupt)
-	}
-	if sr.indexed {
-		return fmt.Errorf("%w: duplicate index section", ErrCorrupt)
-	}
-	entries, err := parseIndex(payload)
-	if err != nil {
-		return err
-	}
-	if uint64(len(entries)) != sr.sections {
-		return fmt.Errorf("%w: index lists %d sections, read %d", ErrCorrupt, len(entries), sr.sections)
-	}
-	sr.indexed = true
-	sr.indexOff = offset
-	return nil
-}
-
-// endMarker consumes and validates the version-appropriate end marker
-// tail; head holds the already-read kind+count prefix.
-func (sr *Reader) endMarker(head [sectionHeadSize]byte, count uint64) error {
-	if sr.version == versionV1 {
-		var tail [4]byte
-		if err := sr.read(tail[:]); err != nil {
-			return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
-		}
-		if got := binary.BigEndian.Uint32(tail[:]); got != crc32.ChecksumIEEE(head[:12]) {
-			return fmt.Errorf("%w: end marker CRC mismatch", ErrCorrupt)
-		}
-		if count != sr.sections {
-			return fmt.Errorf("%w: end marker counts %d sections, read %d", ErrCorrupt, count, sr.sections)
-		}
-		return io.EOF
-	}
-	var tail [12]byte
-	if err := sr.read(tail[:]); err != nil {
-		return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
-	}
-	crc := crc32.ChecksumIEEE(head[:12])
-	crc = crc32.Update(crc, crc32.IEEETable, tail[:8])
-	if got := binary.BigEndian.Uint32(tail[8:]); got != crc {
-		return fmt.Errorf("%w: end marker CRC mismatch", ErrCorrupt)
-	}
-	if count != sr.sections {
-		return fmt.Errorf("%w: end marker counts %d sections, read %d", ErrCorrupt, count, sr.sections)
-	}
-	indexOff := int64(binary.BigEndian.Uint64(tail[:8]))
-	if !sr.indexed {
-		return fmt.Errorf("%w: version-2 file has no index section", ErrCorrupt)
-	}
-	if indexOff != sr.indexOff {
-		return fmt.Errorf("%w: end marker points index at %d, found at %d", ErrCorrupt, indexOff, sr.indexOff)
-	}
-	return io.EOF
-}
-
-// parseIndex decodes an index payload into section infos, validating only
-// self-consistency (count vs payload size, monotonic offsets).
-func parseIndex(payload []byte) ([]SectionInfo, error) {
+// parseIndex decodes an index payload into section infos and checks that
+// they tile [headerSize, indexOff) exactly: the first frame starts at the
+// header's end, each next frame where the previous one ends, and the last
+// one ends at the index. Lengths are bounded by the remaining room before
+// any offset arithmetic, so a lying entry cannot overflow.
+func parseIndex(payload []byte, indexOff int64) ([]SectionInfo, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("%w: index payload of %d bytes", ErrCorrupt, len(payload))
 	}
@@ -537,7 +359,7 @@ func parseIndex(payload []byte) ([]SectionInfo, error) {
 		return nil, fmt.Errorf("%w: index counts %d entries in %d bytes", ErrCorrupt, count, len(payload))
 	}
 	entries := make([]SectionInfo, count)
-	prevEnd := int64(headerSize)
+	next := int64(headerSize)
 	for i := range entries {
 		p := payload[4+i*indexEntrySize:]
 		e := SectionInfo{
@@ -549,78 +371,41 @@ func parseIndex(payload []byte) ([]SectionInfo, error) {
 		if e.Kind == EndKind || e.Kind == IndexKind {
 			return nil, fmt.Errorf("%w: index entry %d has reserved kind %#x", ErrCorrupt, i, e.Kind)
 		}
-		if e.Offset < prevEnd {
-			return nil, fmt.Errorf("%w: index entry %d offset %d overlaps the previous section", ErrCorrupt, i, e.Offset)
+		if e.Offset != next {
+			return nil, fmt.Errorf("%w: index entry %d starts at %d, previous frame ends at %d", ErrCorrupt, i, e.Offset, next)
 		}
-		if e.Length > uint64(1)<<62 {
-			return nil, fmt.Errorf("%w: index entry %d length %d", ErrCorrupt, i, e.Length)
+		if room := indexOff - next - sectionHeadSize - 4; room < 0 || e.Length > uint64(room) {
+			return nil, fmt.Errorf("%w: index entry %d (kind %d) overruns the index", ErrCorrupt, i, e.Kind)
 		}
-		prevEnd = e.Offset + sectionHeadSize + int64(e.Length) + 4
+		next += sectionHeadSize + int64(e.Length) + 4
 		entries[i] = e
+	}
+	if next != indexOff {
+		return nil, fmt.Errorf("%w: sections end at %d, index starts at %d", ErrCorrupt, next, indexOff)
 	}
 	return entries, nil
 }
 
-// readBounded reads exactly length bytes, growing the buffer chunk by
-// chunk so a lying length cannot force a giant allocation.
-func readBounded(r io.Reader, length uint64) ([]byte, error) {
-	var out []byte
-	for remaining := length; remaining > 0; {
-		step := remaining
-		if step > readChunk {
-			step = readChunk
-		}
-		start := len(out)
-		out = append(out, make([]byte, step)...)
-		if _, err := io.ReadFull(r, out[start:]); err != nil {
-			return out[:start], fmt.Errorf("truncated (%d of %d bytes): %v", uint64(start), length, err)
-		}
-		remaining -= step
-	}
-	if out == nil {
-		out = []byte{}
-	}
-	return out, nil
-}
-
 // Info is the inspection summary Scan produces.
 type Info struct {
-	Epoch   int64
-	Version uint32
-	// Indexed reports whether the file carries a valid trailing index.
-	Indexed  bool
+	Epoch    int64
 	Sections []SectionInfo
-	// Bytes is the total file size consumed, framing included.
+	// Bytes is the file size, framing included.
 	Bytes int64
 }
 
-// Scan reads a whole snapshot, verifying every CRC and the end marker, and
-// returns the per-section summary. It retains no payload beyond one
-// section at a time — the inspection path for cmd/spvsnap.
-func Scan(r io.Reader) (*Info, error) {
-	sr, err := NewReader(r)
+// Scan opens a snapshot over ra, then reads and CRC-checks every indexed
+// section, returning the per-section summary. It retains no payload
+// beyond one section at a time — the inspection path for cmd/spvsnap.
+func Scan(ra io.ReaderAt, size int64) (*Info, error) {
+	f, err := NewFile(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	info := &Info{Epoch: sr.epoch, Version: sr.version}
-	for {
-		s, err := sr.Next()
-		if err == io.EOF {
-			info.Bytes = sr.off
-			info.Indexed = sr.indexed
-			return info, nil
-		}
-		if err != nil {
+	for _, e := range f.table {
+		if _, err := f.payload(e); err != nil {
 			return nil, err
 		}
-		var head [sectionHeadSize]byte
-		binary.BigEndian.PutUint32(head[:], s.Kind)
-		binary.BigEndian.PutUint64(head[4:], uint64(len(s.Payload)))
-		info.Sections = append(info.Sections, SectionInfo{
-			Kind:   s.Kind,
-			Offset: s.Offset,
-			Length: uint64(len(s.Payload)),
-			CRC:    sectionCRC(head, s.Payload),
-		})
 	}
+	return &Info{Epoch: f.epoch, Sections: f.Sections(), Bytes: size}, nil
 }

@@ -10,8 +10,14 @@ import (
 	"testing"
 )
 
+// section is one test section: a kind and its payload.
+type section struct {
+	Kind    uint32
+	Payload []byte
+}
+
 // buildSnapshot writes a small snapshot with the given sections.
-func buildSnapshot(t *testing.T, epoch int64, sections ...Section) []byte {
+func buildSnapshot(t testing.TB, epoch int64, sections ...section) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, epoch)
@@ -33,41 +39,38 @@ func buildSnapshot(t *testing.T, epoch int64, sections ...Section) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	sections := []Section{
+	sections := []section{
 		{Kind: 1, Payload: []byte("config")},
 		{Kind: 2, Payload: bytes.Repeat([]byte{0xAB}, 3000)},
 		{Kind: 7, Payload: nil}, // empty payloads are legal
 	}
 	data := buildSnapshot(t, 42, sections...)
 
-	r, err := NewReader(bytes.NewReader(data))
+	f, err := NewFile(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Epoch() != 42 {
-		t.Fatalf("epoch = %d, want 42", r.Epoch())
+	if f.Epoch() != 42 {
+		t.Fatalf("epoch = %d, want 42", f.Epoch())
+	}
+	table := f.Sections()
+	if len(table) != len(sections) {
+		t.Fatalf("%d sections, want %d", len(table), len(sections))
 	}
 	for i, want := range sections {
-		got, err := r.Next()
+		got, err := f.Section(want.Kind)
 		if err != nil {
 			t.Fatalf("section %d: %v", i, err)
 		}
-		if got.Kind != want.Kind || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("section %d: got kind %d len %d", i, got.Kind, len(got.Payload))
+		if table[i].Kind != want.Kind || !bytes.Equal(got, want.Payload) {
+			t.Fatalf("section %d: got kind %d len %d", i, table[i].Kind, len(got))
 		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("after last section: %v, want io.EOF", err)
-	}
-	// Exhausted readers stay at EOF.
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("re-read after EOF: %v", err)
 	}
 }
 
 func TestScan(t *testing.T) {
-	data := buildSnapshot(t, 7, Section{Kind: 3, Payload: []byte("abc")}, Section{Kind: 9, Payload: []byte("defg")})
-	info, err := Scan(bytes.NewReader(data))
+	data := buildSnapshot(t, 7, section{Kind: 3, Payload: []byte("abc")}, section{Kind: 9, Payload: []byte("defg")})
+	info, err := Scan(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,38 +96,29 @@ func TestReservedKind(t *testing.T) {
 }
 
 func TestBadMagicAndVersion(t *testing.T) {
-	data := buildSnapshot(t, 0, Section{Kind: 1, Payload: []byte("x")})
+	data := buildSnapshot(t, 0, section{Kind: 1, Payload: []byte("x")})
 
 	bad := append([]byte(nil), data...)
 	copy(bad, "NOTASNAP")
-	if _, err := NewReader(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
 	bad = append([]byte(nil), data...)
 	binary.BigEndian.PutUint32(bad[8:], Version+1)
-	if _, err := NewReader(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("future version: %v", err)
 	}
 }
 
-// readAll pulls every section, returning the first error.
+// readAll opens data and reads every section, returning the first error.
 func readAll(data []byte) error {
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	for {
-		if _, err := r.Next(); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
-		}
-	}
+	_, err := Scan(bytes.NewReader(data), int64(len(data)))
+	return err
 }
 
 func TestTruncation(t *testing.T) {
-	data := buildSnapshot(t, 1, Section{Kind: 1, Payload: bytes.Repeat([]byte{1}, 100)})
+	data := buildSnapshot(t, 1, section{Kind: 1, Payload: bytes.Repeat([]byte{1}, 100)})
 	// Every possible truncation point must error (wrapping ErrCorrupt),
 	// never panic and never read as valid.
 	for n := 0; n < len(data); n++ {
@@ -138,11 +132,10 @@ func TestTruncation(t *testing.T) {
 }
 
 func TestFlippedBytes(t *testing.T) {
-	data := buildSnapshot(t, 1, Section{Kind: 1, Payload: []byte("hello, snapshot")})
-	// Flipping any byte after the header must surface as ErrCorrupt: the
-	// payload and the end marker are both CRC-framed, and the section
-	// header is implicitly covered (a flipped kind/length desynchronizes
-	// the stream into a CRC or truncation failure).
+	data := buildSnapshot(t, 1, section{Kind: 1, Payload: []byte("hello, snapshot")})
+	// Flipping any byte after the header must surface as ErrCorrupt:
+	// payloads, the index and the end marker are all CRC-framed, and a
+	// flipped section kind or length disagrees with the index.
 	for i := headerSize; i < len(data); i++ {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
@@ -155,9 +148,9 @@ func TestFlippedBytes(t *testing.T) {
 }
 
 func TestLyingLengthDoesNotOverAllocate(t *testing.T) {
-	data := buildSnapshot(t, 1, Section{Kind: 1, Payload: []byte("tiny")})
+	data := buildSnapshot(t, 1, section{Kind: 1, Payload: []byte("tiny")})
 	// Rewrite the section length to claim ~16 EiB. The reader must fail
-	// with a truncation error after at most one chunk of allocation.
+	// on the disagreement with the index before allocating anything.
 	bad := append([]byte(nil), data...)
 	binary.BigEndian.PutUint64(bad[headerSize+4:], 1<<60)
 	before := testing.AllocsPerRun(1, func() {
@@ -169,7 +162,7 @@ func TestLyingLengthDoesNotOverAllocate(t *testing.T) {
 }
 
 func TestWrongSectionCount(t *testing.T) {
-	data := buildSnapshot(t, 1, Section{Kind: 1, Payload: []byte("a")}, Section{Kind: 2, Payload: []byte("b")})
+	data := buildSnapshot(t, 1, section{Kind: 1, Payload: []byte("a")}, section{Kind: 2, Payload: []byte("b")})
 	// Patch the end marker count from 2 to 3 and fix its CRC so only the
 	// count check can catch it.
 	bad := append([]byte(nil), data...)
@@ -181,7 +174,7 @@ func TestWrongSectionCount(t *testing.T) {
 	}
 }
 
-// fixEndCRC recomputes the v2 end marker's CRC exactly as Close does.
+// fixEndCRC recomputes the end marker's CRC exactly as Close does.
 func fixEndCRC(data []byte, off int) {
 	binary.BigEndian.PutUint32(data[off+20:], crc32.ChecksumIEEE(data[off:off+20]))
 }

@@ -590,7 +590,11 @@ func LoadDeployment(path string, signer *Signer, opts ServeOptions) (*Deployment
 		return nil, err
 	}
 	defer f.Close()
-	return serve.LoadDeployment(f, signer, opts)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return serve.LoadDeployment(f, st.Size(), signer, opts)
 }
 
 // Snapshot certificates: the owner signs one compact certificate over a

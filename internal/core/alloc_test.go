@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/authhints/spv/internal/workload"
+)
 
 // Steady-state allocation budgets for the cold query path. The measured
 // numbers (PR 2) are ~15 allocs/op for DIJ and ~17 for LDM on the bench
@@ -128,6 +132,52 @@ func TestVerifyBatchAllocBudget(t *testing.T) {
 		t.Logf("%s: 64 singles %.0f allocs, batch %.0f allocs (%.1f×)", m, single, batch, single/batch)
 		if batch*5 > single {
 			t.Errorf("%s: batch of 64 allocates %.0f, singles allocate %.0f — want ≥5× reduction", m, batch, single)
+		}
+	}
+}
+
+// Single-proof verification allocation ceilings. The flat verification
+// kernel decodes into pooled arenas, so a steady-state verify allocates a
+// small constant — the signature check, the error-free return path and,
+// for FULL, the distance forest's row reconstruction — independent of
+// the proof's tuple count. Measured on the test world's largest proof per
+// method: DIJ 9 (91 tuples), LDM 11 (26), HYP 20 (150), FULL 46 (20)
+// allocs/op, where the map-based verifiers paid 655, 313, 1052 and 286.
+// The ceilings leave pool-churn headroom.
+var verifyAllocBudget = map[Method]float64{DIJ: 40, LDM: 40, HYP: 60, FULL: 90}
+
+// TestVerifyAllocBudget pins each method's single-proof VerifyProof to its
+// allocation ceiling, so a regression back toward per-tuple allocation
+// fails here.
+func TestVerifyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race drops pooled verify scratch at random")
+	}
+	w := world(t)
+	v := w.owner.Verifier()
+	for _, m := range Methods() {
+		// The workload query with the most tuples in this method's proof.
+		var q workload.Query
+		var pr Proof
+		for _, cand := range w.queries {
+			p, err := testProvider(t, w, m).QueryProof(cand.S, cand.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr == nil || p.Stats().SItems > pr.Stats().SItems {
+				q, pr = cand, p
+			}
+		}
+		verify := func() {
+			if err := VerifyProof(v, m, q.S, q.T, pr); err != nil {
+				t.Fatalf("%s verify: %v", m, err)
+			}
+		}
+		verify()
+		got := testing.AllocsPerRun(20, verify)
+		t.Logf("%s: %.0f allocs per verify (%d tuples)", m, got, pr.Stats().SItems)
+		if budget, ok := verifyAllocBudget[m]; !ok || got > budget {
+			t.Errorf("%s verify allocates %.0f/op, budget %.0f", m, got, budget)
 		}
 	}
 }

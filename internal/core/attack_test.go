@@ -7,6 +7,7 @@ import (
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
 	"github.com/authhints/spv/internal/mbt"
+	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -497,4 +498,164 @@ func TestAllMethodsRejectReplayedSignatureAcrossMethods(t *testing.T) {
 	dp.RootSig, lp.RootSig = lp.RootSig, dp.RootSig
 	wantRejected(t, "DIJ with LDM sig", VerifyDIJ(w.owner.Verifier(), q.S, q.T, dp))
 	wantRejected(t, "LDM with DIJ sig", VerifyLDM(w.owner.Verifier(), q.S, q.T, lp))
+}
+
+// --- cross-method: leaf position aliasing ---
+
+// aliasParts exposes the fields the aliasing attacks rewrite, on a shallow
+// copy of pr whose tuple list and Merkle proof are fresh copies.
+func aliasParts(t *testing.T, pr Proof) (Proof, *[]tupleRecord, *mht.Proof, *float64, graph.Path) {
+	t.Helper()
+	cloneMHT := func(p *mht.Proof) *mht.Proof {
+		cp := *p
+		cp.Entries = append([]mht.Entry(nil), p.Entries...)
+		return &cp
+	}
+	switch p := pr.(type) {
+	case *DIJProof:
+		cp := *p
+		cp.Tuples = append([]tupleRecord(nil), p.Tuples...)
+		cp.MHT = cloneMHT(p.MHT)
+		return &cp, &cp.Tuples, cp.MHT, &cp.Dist, cp.Path
+	case *LDMProof:
+		cp := *p
+		cp.Tuples = append([]tupleRecord(nil), p.Tuples...)
+		cp.MHT = cloneMHT(p.MHT)
+		return &cp, &cp.Tuples, cp.MHT, &cp.Dist, cp.Path
+	case *HYPProof:
+		cp := *p
+		cp.Tuples = append([]tupleRecord(nil), p.Tuples...)
+		cp.MHT = cloneMHT(p.MHT)
+		return &cp, &cp.Tuples, cp.MHT, &cp.Dist, cp.Path
+	case *FULLProof:
+		cp := *p
+		cp.Tuples = append([]tupleRecord(nil), p.Tuples...)
+		cp.MHT = cloneMHT(p.MHT)
+		return &cp, &cp.Tuples, cp.MHT, &cp.Dist, cp.Path
+	}
+	t.Fatalf("unexpected proof type %T", pr)
+	return nil, nil, nil, nil, nil
+}
+
+// aliasForge rewrites pr into the position-alias attack: the first path
+// node X gets a forged tuple whose edge to the next path node weighs half
+// as much, the claimed distance drops by that half, and the forged record
+// is filed under the position of another record Y, placed before Y's own
+// record. X's genuine digest rides along as a level-0 Merkle entry, so the
+// reconstructed root is still the signed one; only position uniqueness
+// keeps the forged tuple out of the search. It returns nil when the proof
+// offers no such pair.
+func aliasForge(t *testing.T, pr Proof) Proof {
+	t.Helper()
+	forged, recsp, mp, dist, path := aliasParts(t, pr)
+	recs := *recsp
+	x, next := path[0], path[1]
+	xi, yi := -1, -1
+	for i, r := range recs {
+		tu, _, err := graph.DecodeTuple(r.Bytes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tu.ID == x {
+			xi = i
+		} else if yi < 0 {
+			yi = i
+		}
+	}
+	if xi < 0 || yi < 0 {
+		return nil
+	}
+	genuine := recs[xi]
+	tu, n, err := graph.DecodeTuple(genuine.Bytes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := 0.0
+	for k := range tu.Adj {
+		if tu.Adj[k].To == next {
+			saved = tu.Adj[k].W / 2
+			tu.Adj[k].W -= saved
+		}
+	}
+	fake := tupleRecord{Pos: recs[yi].Pos, Bytes: append(tu.AppendBinary(nil), genuine.Bytes[n:]...)}
+	var out []tupleRecord
+	for i, r := range recs {
+		if i == yi {
+			out = append(out, fake)
+		}
+		if i != xi {
+			out = append(out, r)
+		}
+	}
+	*recsp = out
+	mp.Entries = append(mp.Entries, mht.Entry{Level: 0, Index: genuine.Pos, Digest: mp.Alg.Sum(genuine.Bytes)})
+	*dist -= saved
+	return forged
+}
+
+// TestAttackLeafPositionAlias: two records may not claim one Merkle leaf
+// position. Before the flat verification kernel a later record's digest
+// silently replaced an earlier one's, so the earlier tuple entered the
+// search unauthenticated. Every method must reject the alias as malformed,
+// through VerifyProof and through VerifyBatch (with honest items beside
+// it), and a second record for a node already present is rejected the
+// same way.
+func TestAttackLeafPositionAlias(t *testing.T) {
+	w := world(t)
+	v := w.owner.Verifier()
+	for _, m := range Methods() {
+		p := testProvider(t, w, m)
+		var items []BatchItem
+		forgedAt := map[int]bool{}
+		for _, q := range w.queries {
+			pr, err := p.QueryProof(q.S, q.T)
+			if err != nil {
+				t.Fatalf("%s query: %v", m, err)
+			}
+			items = append(items, BatchItem{VS: q.S, VT: q.T, Proof: pr})
+			forged := aliasForge(t, pr)
+			if forged == nil {
+				continue
+			}
+			err = VerifyProof(v, m, q.S, q.T, forged)
+			wantRejected(t, string(m)+" position alias", err)
+			if !errors.Is(err, ErrMalformedProof) {
+				t.Errorf("%s position alias: want ErrMalformedProof, got %v", m, err)
+			}
+			forgedAt[len(items)] = true
+			items = append(items, BatchItem{VS: q.S, VT: q.T, Proof: forged})
+
+			// A second record for a node already present, at a position
+			// of its own, is malformed too.
+			dup, recs, _, _, _ := aliasParts(t, pr)
+			used := map[uint32]bool{}
+			for _, r := range *recs {
+				used[r.Pos] = true
+			}
+			extra := (*recs)[0]
+			for used[extra.Pos] {
+				extra.Pos++
+			}
+			*recs = append(*recs, extra)
+			err = VerifyProof(v, m, q.S, q.T, dup)
+			wantRejected(t, string(m)+" duplicate node", err)
+			if !errors.Is(err, ErrMalformedProof) {
+				t.Errorf("%s duplicate node: want ErrMalformedProof, got %v", m, err)
+			}
+		}
+		if len(forgedAt) == 0 {
+			t.Fatalf("%s: no proof offered an alias pair", m)
+		}
+		for i, err := range VerifyBatch(v, m, items) {
+			switch {
+			case forgedAt[i]:
+				wantRejected(t, string(m)+" batched position alias", err)
+				if !errors.Is(err, ErrMalformedProof) {
+					t.Errorf("%s batched position alias: want ErrMalformedProof, got %v", m, err)
+				}
+			case err != nil:
+				t.Errorf("%s honest batch item %d rejected: %v", m, i, err)
+			}
+		}
+	}
 }

@@ -6,15 +6,14 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
 	"github.com/authhints/spv/internal/hiti"
-	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/mht"
-	"github.com/authhints/spv/internal/sp"
 )
 
 // This file implements batch verification: VerifyBatch checks a set of
@@ -22,8 +21,9 @@ import (
 // provider epoch share — the signed root (one public-key operation instead
 // of one per proof), overlapping Merkle authentication paths (each internal
 // digest hashed once via mht.ReconstructSet), identical tuple bodies (each
-// decoded and leaf-hashed once), and reusable search state (pooled maps and
-// heaps instead of per-proof allocation).
+// decoded and leaf-hashed once, through one position-sorted record table),
+// and reusable search state (the pooled flat kernel of tupletable.go
+// instead of per-proof allocation).
 //
 // The contract is strict verdict equivalence: VerifyBatch accepts exactly
 // the items the per-proof verifier accepts and rejects exactly the items it
@@ -121,16 +121,19 @@ func dedupBatch(items []BatchItem) (uniq, mapTo []int) {
 	return uniq, mapTo
 }
 
-// cachedTuple is one decoded tuple record in the batch-wide cache, keyed
-// by leaf position: proofs from one epoch ship byte-identical records for
-// shared positions, so each is decoded and leaf-hashed once per batch.
-// payload and hmeta hold the method-specific annotation (a batch is always
-// single-method, so only one of them is ever populated).
-type cachedTuple struct {
+// batchSlot is one distinct leaf position of the batch-wide record table:
+// proofs from one epoch ship byte-identical records for shared positions,
+// so each is decoded and leaf-hashed once per batch. payload and hmeta
+// hold the method-specific annotation (a batch is always single-method, so
+// only one of them is ever populated).
+type batchSlot struct {
+	pos     uint32
 	bytes   []byte
 	tuple   graph.Tuple
 	payload landmark.Payload // LDM: decoded landmark payload
 	hmeta   hypMeta          // HYP: decoded cell/border annotation
+	bad     bool             // decode failed
+	used    bool             // relied on by a still-admitted proof
 }
 
 type sigVerdict struct {
@@ -138,57 +141,90 @@ type sigVerdict struct {
 	ok             bool
 }
 
-// batchScratch is the pooled cross-proof state of one VerifyProofBatch
-// call: the tuple cache, the merged leaf-digest views for the shared
-// trees, per-proof maps reused via clear(), and pooled search state.
-// Nothing in it survives release; maps keep their buckets across batches.
-type batchScratch struct {
-	cache  map[uint32]cachedTuple
-	known  map[int][]byte // merged network-tree leaf digests
-	known2 map[int][]byte // merged second-tree leaves (FULL rows / HYP hyper)
-
-	tuples   map[graph.NodeID]graph.Tuple
-	meta     map[graph.NodeID]hypMeta
-	hyperW   map[mbt.Key]float64
-	dist     map[graph.NodeID]float64
-	done     map[graph.NodeID]bool
-	heap     *sp.Heap
-	cells    *cellSearchScratch
-	resolver *landmark.Resolver
-
-	msg  []byte
-	sigs []sigVerdict
+// auditSet collects the inputs of one shared-tree audit: per admitted
+// proof its Merkle proof, its leaf positions and its signature, and the
+// proof's slot in the batch.
+type auditSet struct {
+	mhtps  []*mht.Proof
+	leaves [][]uint32
+	sigs   [][]byte
+	ks     []int
 }
 
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		cache:  make(map[uint32]cachedTuple),
-		known:  make(map[int][]byte),
-		known2: make(map[int][]byte),
-		tuples: make(map[graph.NodeID]graph.Tuple),
-		meta:   make(map[graph.NodeID]hypMeta),
-		hyperW: make(map[mbt.Key]float64),
-		dist:   make(map[graph.NodeID]float64),
-		done:   make(map[graph.NodeID]bool),
-		heap:   sp.NewHeap(64),
-		cells:  newCellSearchScratch(),
-	}
-}}
+func (a *auditSet) reset() {
+	a.mhtps, a.leaves, a.sigs, a.ks = a.mhtps[:0], a.leaves[:0], a.sigs[:0], a.ks[:0]
+}
+
+func (a *auditSet) add(k int, p *mht.Proof, leaves []uint32, sig []byte) {
+	a.mhtps = append(a.mhtps, p)
+	a.leaves = append(a.leaves, leaves)
+	a.sigs = append(a.sigs, sig)
+	a.ks = append(a.ks, k)
+}
+
+// batchScratch is the pooled cross-proof state of one VerifyProofBatch
+// call: the position-sorted record table with its decoded slots and
+// arenas, the merged leaf views of the shared trees, the per-proof view
+// and search state, and the signature verdict cache. Nothing in it
+// survives release; slices keep their storage across batches.
+type batchScratch struct {
+	// Record table: key = pos<<32 | global record number; recK/recJ map a
+	// global record number to its proof and its index in that proof.
+	keys   []uint64
+	recK   []int32
+	recJ   []int32
+	base   []int32 // first global record number of each proof
+	slotOf []int32 // global record number → slot
+	slots  []batchSlot
+	edges  []graph.Edge
+	units  []uint32
+
+	live     []bool     // proof still admitted to the fast path
+	known    []mht.Leaf // merged network-tree leaves of the used slots
+	digests  []byte
+	lists    [][]uint32 // per proof: its network-tree leaf positions
+	known2   []mht.Leaf // merged second-tree leaves (FULL rows / HYP hyper)
+	arena2   []byte
+	lists2   [][]uint32
+	audit    auditSet
+	rec      mht.Reconstructor
+	complete []bool // per audited proof: its own claims cover the root
+
+	tab      tupleTable
+	search   searchState
+	cellS    searchState
+	cellT    searchState
+	meta     []hypMeta
+	resolver landmark.Resolver
+	hyper    hyperTable
+
+	msg   []byte
+	roots []byte // owned copies of the roots in sigs
+	sigs  []sigVerdict
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func acquireBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
 
 // releaseBatchScratch clears and returns b to the pool. Clearing happens
 // on release so a pooled scratch never pins a batch's decoded proofs.
 func releaseBatchScratch(b *batchScratch) {
-	clear(b.cache)
+	clear(b.slots)
 	clear(b.known)
 	clear(b.known2)
+	clear(b.tab.tuples)
+	clear(b.sigs)
+	clear(b.audit.mhtps)
+	clear(b.audit.sigs)
+	b.rec.Clear()
 	b.sigs = b.sigs[:0]
 	batchScratchPool.Put(b)
 }
 
 // checkSig verifies one root signature with a batch-scoped verdict cache,
 // so a batch sharing one signed root costs a single public-key operation.
+// root may alias reconstruction scratch: the cache keeps its own copy.
 func (b *batchScratch) checkSig(v SigVerifier, ctx, root, sig []byte) bool {
 	for _, s := range b.sigs {
 		if bytes.Equal(s.ctx, ctx) && bytes.Equal(s.root, root) && bytes.Equal(s.sig, sig) {
@@ -197,95 +233,203 @@ func (b *batchScratch) checkSig(v SigVerifier, ctx, root, sig []byte) bool {
 	}
 	b.msg = append(append(b.msg[:0], ctx...), root...)
 	ok := v.Verify(b.msg, sig) == nil
-	b.sigs = append(b.sigs, sigVerdict{ctx: ctx, root: root, sig: sig, ok: ok})
+	b.roots = append(b.roots, root...)
+	owned := b.roots[len(b.roots)-len(root):]
+	b.sigs = append(b.sigs, sigVerdict{ctx: ctx, root: owned, sig: sig, ok: ok})
 	return ok
 }
 
-// mergeTupleRecords parses one proof's records through the batch cache,
-// merging leaf digests into the shared known view and returning the leaf
-// positions the proof relies on. Any parse failure — including records
-// that byte-differ from another proof's at the same position — makes the
-// caller verify that proof individually.
-func (b *batchScratch) mergeTupleRecords(alg digest.Alg, recs []tupleRecord,
-	onParse func(c *cachedTuple, rest []byte) (int, error)) ([]int, error) {
+// resetFor sizes the per-proof state for a batch of n distinct proofs,
+// all admitted.
+func (b *batchScratch) resetFor(n int) {
+	b.live = slices.Grow(b.live[:0], n)[:n]
+	for k := range b.live {
+		b.live[k] = true
+	}
+	b.lists = growLists(b.lists, n)
+	b.lists2 = growLists(b.lists2, n)
+	b.known2 = b.known2[:0]
+	b.arena2 = b.arena2[:0]
+	b.roots = b.roots[:0]
+}
 
-	leaves := make([]int, 0, len(recs))
-	for i, r := range recs {
-		if c, hit := b.cache[r.Pos]; hit {
-			if !bytes.Equal(c.bytes, r.Bytes) {
-				return nil, fmt.Errorf("%w: differing tuple bytes at leaf %d", mht.ErrInconsistentSet, r.Pos)
-			}
-			leaves = append(leaves, int(r.Pos))
+func growLists(l [][]uint32, n int) [][]uint32 {
+	for len(l) < n {
+		l = append(l, nil)
+	}
+	for k := range l[:n] {
+		l[k] = l[k][:0]
+	}
+	return l[:n]
+}
+
+// mergeRecords builds the batch-wide record table over the tuple sets of
+// the admitted proofs (recs[k] for every k with b.live[k]): one sort by
+// leaf position, one decode and one leaf hash per distinct position. It
+// withdraws from b.live every proof whose records repeat a position,
+// byte-differ from an earlier proof's record at the same position, or
+// fail to decode — the per-proof verifier gives those their exact verdict.
+// On return b.known holds the leaves every admitted proof relies on and
+// b.lists[k] proof k's positions, both ascending.
+func (b *batchScratch) mergeRecords(alg digest.Alg, recs [][]tupleRecord,
+	onParse func(c *batchSlot, rest []byte) (int, error)) {
+
+	b.keys, b.recK, b.recJ, b.base = b.keys[:0], b.recK[:0], b.recJ[:0], b.base[:0]
+	for k, rs := range recs {
+		b.base = append(b.base, int32(len(b.recK)))
+		if !b.live[k] {
 			continue
 		}
-		var c cachedTuple
-		t, n, err := graph.DecodeTuple(r.Bytes, 0)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrMalformedProof, i, err)
+		for j, r := range rs {
+			b.keys = append(b.keys, uint64(r.Pos)<<32|uint64(len(b.recK)))
+			b.recK = append(b.recK, int32(k))
+			b.recJ = append(b.recJ, int32(j))
 		}
-		c.tuple = t
-		if onParse != nil {
-			used, err := onParse(&c, r.Bytes[n:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d extra: %v", ErrMalformedProof, i, err)
+	}
+	record := func(g uint32) tupleRecord { return recs[b.recK[g]][b.recJ[g]] }
+	slices.Sort(b.keys)
+	b.slotOf = slices.Grow(b.slotOf[:0], len(b.recK))[:len(b.recK)]
+	b.slots = b.slots[:0]
+	degrees := 0
+	for i := 0; i < len(b.keys); {
+		pos := uint32(b.keys[i] >> 32)
+		rep := record(uint32(b.keys[i]))
+		slot := int32(len(b.slots))
+		b.slots = append(b.slots, batchSlot{pos: pos, bytes: rep.Bytes})
+		degrees += graph.EncodedDegree(rep.Bytes)
+		j := i
+		for ; j < len(b.keys) && uint32(b.keys[j]>>32) == pos; j++ {
+			g := uint32(b.keys[j])
+			b.slotOf[g] = slot
+			if j == i {
+				continue
 			}
-			n += used
+			k := b.recK[g]
+			if k == b.recK[uint32(b.keys[j-1])] || !bytes.Equal(record(g).Bytes, rep.Bytes) {
+				b.live[k] = false
+			}
 		}
-		if n != len(r.Bytes) {
-			return nil, fmt.Errorf("%w: record %d has %d trailing bytes", ErrMalformedProof, i, len(r.Bytes)-n)
-		}
-		c.bytes = r.Bytes
-		b.cache[r.Pos] = c
-		b.known[int(r.Pos)] = alg.Sum(r.Bytes)
-		leaves = append(leaves, int(r.Pos))
+		i = j
 	}
-	return leaves, nil
+	b.edges = slices.Grow(b.edges[:0], degrees)
+	b.units = b.units[:0]
+	var c *batchSlot
+	var extra func(graph.NodeID, []byte) (int, error)
+	if onParse != nil {
+		extra = func(_ graph.NodeID, rest []byte) (int, error) { return onParse(c, rest) }
+	}
+	for i := range b.slots {
+		c = &b.slots[i]
+		t, edges, err := decodeRecord(c.bytes, b.edges, extra)
+		b.edges = edges
+		c.tuple, c.bad = t, err != nil
+	}
+	for g, k := range b.recK {
+		if b.live[k] && b.slots[b.slotOf[g]].bad {
+			b.live[k] = false
+		}
+	}
+	for g, k := range b.recK {
+		if b.live[k] {
+			b.slots[b.slotOf[g]].used = true
+		}
+	}
+	h := alg.New()
+	size := alg.Size()
+	b.known = b.known[:0]
+	b.digests = slices.Grow(b.digests[:0], len(b.slots)*size)
+	for i := range b.slots {
+		if c := &b.slots[i]; c.used {
+			h.Reset()
+			h.Write(c.bytes)
+			b.digests = h.Sum(b.digests)
+			b.known = append(b.known, mht.Leaf{Index: c.pos, Digest: b.digests[len(b.digests)-size:]})
+		}
+	}
+	for _, key := range b.keys {
+		if g := uint32(key); b.live[b.recK[g]] {
+			k := b.recK[g]
+			b.lists[k] = append(b.lists[k], uint32(key>>32))
+		}
+	}
 }
 
-// fillTuples rebuilds one proof's node → tuple view from the batch cache
-// into the pooled map (valid until the next fill), calling onFill once per
-// node so method annotations land in their per-proof structures. Proofs
-// with duplicate node IDs — never produced by an honest provider — are
-// declined, because the per-proof verifier's duplicate semantics depend on
-// record order and annotation bytes the cache does not preserve.
-func (b *batchScratch) fillTuples(recs []tupleRecord, onFill func(c *cachedTuple)) (map[graph.NodeID]graph.Tuple, error) {
-	clear(b.tuples)
-	for _, r := range recs {
-		c := b.cache[r.Pos]
-		if _, dup := b.tuples[c.tuple.ID]; dup {
-			return nil, fmt.Errorf("%w: node %d appears twice", ErrMalformedProof, c.tuple.ID)
-		}
-		b.tuples[c.tuple.ID] = c.tuple
+// view rebuilds proof k's tuple table from the decoded slots, in record
+// order, calling onFill once per local node so method annotations land in
+// their per-proof structures. It is valid until the next view.
+func (b *batchScratch) view(k int, n int, onFill func(c *batchSlot)) error {
+	b.tab.tuples = b.tab.tuples[:0]
+	for j := 0; j < n; j++ {
+		c := &b.slots[b.slotOf[int(b.base[k])+j]]
+		b.tab.tuples = append(b.tab.tuples, c.tuple)
 		if onFill != nil {
-			onFill(&c)
+			onFill(c)
 		}
 	}
-	return b.tuples, nil
+	return b.tab.index()
 }
 
-// auditShared runs the shared-tree audit over the still-admitted proofs:
-// one merged reconstruction (mht.ReconstructSet) plus one cached signature
+// auditShared runs the shared-tree audit over the collected proofs: one
+// merged reconstruction (mht.ReconstructSet) plus one cached signature
 // check per proof. Proofs the shared root cannot vouch for — incomplete
 // paths, failed signatures — are declined in verdicts; an inconsistent set
 // aborts the whole fast path (return false).
-func (b *batchScratch) auditShared(v SigVerifier, ctx []byte, known map[int][]byte,
-	mhtps []*mht.Proof, leaves [][]int, sigs [][]byte, ks []int,
+func (b *batchScratch) auditShared(v SigVerifier, ctx []byte, known []mht.Leaf, a *auditSet,
 	verdicts []error, decline func(k int)) bool {
 
-	if len(mhtps) == 0 {
+	if len(a.mhtps) == 0 {
 		return true
 	}
-	root, complete, err := mht.ReconstructSet(mhtps, known, leaves)
+	b.complete = slices.Grow(b.complete[:0], len(a.mhtps))[:len(a.mhtps)]
+	root, err := b.rec.ReconstructSet(a.mhtps, known, a.leaves, b.complete)
 	if err != nil {
 		return false
 	}
-	for x, k := range ks {
-		if root == nil || !complete[x] || !b.checkSig(v, ctx, root, sigs[x]) {
+	for x, k := range a.ks {
+		if root == nil || !b.complete[x] || !b.checkSig(v, ctx, root, a.sigs[x]) {
 			verdicts[k] = errRetry
 			decline(k)
 		}
 	}
 	return true
+}
+
+// auditNetwork merges the admitted proofs' tuple records (recs[k], with
+// proof k's network-tree Merkle proof mhtps[k] and root signature sigs[k])
+// and audits the shared network tree, withdrawing every proof it cannot
+// vouch for from b.live (and marking it errRetry). It returns false when
+// the proofs do not form one consistent tree.
+func (b *batchScratch) auditNetwork(v SigVerifier, ctx []byte, alg digest.Alg, recs [][]tupleRecord,
+	mhtps []*mht.Proof, sigs [][]byte, verdicts []error,
+	onParse func(c *batchSlot, rest []byte) (int, error)) bool {
+
+	b.mergeRecords(alg, recs, onParse)
+	b.audit.reset()
+	for k := range recs {
+		if b.live[k] {
+			b.audit.add(k, mhtps[k], b.lists[k], sigs[k])
+		} else if verdicts[k] == nil {
+			verdicts[k] = errRetry
+		}
+	}
+	return b.auditShared(v, ctx, b.known, &b.audit, verdicts, b.withdraw)
+}
+
+func (b *batchScratch) withdraw(k int) { b.live[k] = false }
+
+// sameShape admits proofs over one tree shape, anchored at the first
+// admitted proof; aliens go to per-proof verification instead of polluting
+// the merged digest view with foreign-algorithm hashes.
+func sameShape(ref **mht.Proof, p *mht.Proof) bool {
+	if *ref == nil {
+		if !p.Alg.Valid() {
+			return false
+		}
+		*ref = p
+		return true
+	}
+	r := *ref
+	return p.Alg == r.Alg && p.Fanout == r.Fanout && p.NumLeaves == r.NumLeaves
 }
 
 // --- DIJ ---
@@ -295,82 +439,37 @@ func (dijImpl) VerifyProofBatch(v SigVerifier, items []BatchItem) []error {
 }
 
 func dijBatchFast(b *batchScratch, v SigVerifier, sel []BatchItem, verdicts []error) bool {
+	b.resetFor(len(sel))
 	proofs := make([]*DIJProof, len(sel))
+	recs := make([][]tupleRecord, len(sel))
+	mhtps := make([]*mht.Proof, len(sel))
+	sigs := make([][]byte, len(sel))
 	var ref *mht.Proof
 	for k, it := range sel {
 		p, ok := it.Proof.(*DIJProof)
 		if !ok || p == nil || p.MHT == nil || !sameShape(&ref, p.MHT) {
 			verdicts[k] = errRetry
+			b.live[k] = false
 			continue
 		}
-		proofs[k] = p
+		proofs[k], recs[k], mhtps[k], sigs[k] = p, p.Tuples, p.MHT, p.RootSig
 	}
-	leaves := make([][]int, len(sel))
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		lv, err := b.mergeTupleRecords(p.MHT.Alg, p.Tuples, nil)
-		if err != nil {
-			verdicts[k] = errRetry
-			proofs[k] = nil
-			continue
-		}
-		leaves[k] = lv
+	if ref == nil {
+		return true
 	}
-	var mhtps []*mht.Proof
-	var lvs [][]int
-	var sigs [][]byte
-	var ks []int
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		mhtps = append(mhtps, p.MHT)
-		lvs = append(lvs, leaves[k])
-		sigs = append(sigs, p.RootSig)
-		ks = append(ks, k)
-	}
-	if !b.auditShared(v, dijSigCtx, b.known, mhtps, lvs, sigs, ks, verdicts,
-		func(k int) { proofs[k] = nil }) {
+	if !b.auditNetwork(v, dijSigCtx, ref.Alg, recs, mhtps, sigs, verdicts, nil) {
 		return false
 	}
 	for k, p := range proofs {
-		if p == nil {
+		if !b.live[k] {
 			continue
 		}
 		it := sel[k]
-		tuples, err := b.fillTuples(p.Tuples, nil)
-		if err != nil {
-			verdicts[k] = errRetry
-			continue
-		}
-		claimed, err := checkClaimedPath(tuples, p.Path, it.VS, it.VT, p.Dist)
-		if err != nil {
-			verdicts[k] = errRetry
-			continue
-		}
-		clear(b.dist)
-		clear(b.done)
-		b.heap.Reset()
-		recomputed, err := tupleDijkstraInto(b.dist, b.done, b.heap, tuples, it.VS, it.VT, claimed)
-		if err != nil || checkOptimal(recomputed, claimed) != nil {
+		if b.view(k, len(p.Tuples), nil) != nil || verifyDIJSearch(&b.search, &b.tab, it.VS, it.VT, p) != nil {
 			verdicts[k] = errRetry
 		}
 	}
 	return true
-}
-
-// sameShape admits proofs over one tree shape, anchored at the first
-// admitted proof; aliens go to per-proof verification instead of polluting
-// the merged digest view with foreign-algorithm hashes.
-func sameShape(ref **mht.Proof, p *mht.Proof) bool {
-	if *ref == nil {
-		*ref = p
-		return true
-	}
-	r := *ref
-	return p.Alg == r.Alg && p.Fanout == r.Fanout && p.NumLeaves == r.NumLeaves
 }
 
 // --- LDM ---
@@ -380,101 +479,56 @@ func (ldmImpl) VerifyProofBatch(v SigVerifier, items []BatchItem) []error {
 }
 
 func ldmBatchFast(b *batchScratch, v SigVerifier, sel []BatchItem, verdicts []error) bool {
+	b.resetFor(len(sel))
 	proofs := make([]*LDMProof, len(sel))
+	recs := make([][]tupleRecord, len(sel))
+	mhtps := make([]*mht.Proof, len(sel))
+	sigs := make([][]byte, len(sel))
 	var ref *mht.Proof
 	var params landmark.Params
 	haveParams := false
 	for k, it := range sel {
 		p, ok := it.Proof.(*LDMProof)
-		if !ok || p == nil || p.MHT == nil ||
-			p.Params.C <= 0 || p.Params.Bits <= 0 || p.Params.Bits > 30 ||
-			p.Params.Lambda <= 0 || math.IsNaN(p.Params.Lambda) || math.IsInf(p.Params.Lambda, 0) {
-			verdicts[k] = errRetry
-			continue
-		}
-		if !haveParams {
+		admit := ok && p != nil && p.MHT != nil &&
+			p.Params.C > 0 && p.Params.Bits > 0 && p.Params.Bits <= 30 &&
+			p.Params.Lambda > 0 && !math.IsNaN(p.Params.Lambda) && !math.IsInf(p.Params.Lambda, 0)
+		if admit && !haveParams {
 			params = p.Params
 			haveParams = true
-		} else if p.Params != params {
-			// Cached payloads are decoded under the batch parameters; a
-			// proof under different parameters cannot share them.
+		}
+		// Cached payloads are decoded under the batch parameters; a proof
+		// under different parameters cannot share them.
+		if !admit || p.Params != params || !sameShape(&ref, p.MHT) {
 			verdicts[k] = errRetry
+			b.live[k] = false
 			continue
 		}
-		if !sameShape(&ref, p.MHT) {
-			verdicts[k] = errRetry
-			continue
-		}
-		proofs[k] = p
+		proofs[k], recs[k], mhtps[k], sigs[k] = p, p.Tuples, p.MHT, p.RootSig
 	}
-	onParse := func(c *cachedTuple, rest []byte) (int, error) {
-		payload, n, err := landmark.DecodePayload(rest, params.C, params.Bits)
-		if err != nil {
-			return 0, err
-		}
-		c.payload = payload
-		return n, nil
-	}
-	leaves := make([][]int, len(sel))
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		lv, err := b.mergeTupleRecords(p.MHT.Alg, p.Tuples, onParse)
-		if err != nil {
-			verdicts[k] = errRetry
-			proofs[k] = nil
-			continue
-		}
-		leaves[k] = lv
-	}
-	var mhtps []*mht.Proof
-	var lvs [][]int
-	var sigs [][]byte
-	var ks []int
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		mhtps = append(mhtps, p.MHT)
-		lvs = append(lvs, leaves[k])
-		sigs = append(sigs, p.RootSig)
-		ks = append(ks, k)
-	}
-	if len(mhtps) == 0 {
+	if ref == nil {
 		return true
 	}
-	ctx := ldmSigCtx(params)
-	if !b.auditShared(v, ctx, b.known, mhtps, lvs, sigs, ks, verdicts,
-		func(k int) { proofs[k] = nil }) {
+	onParse := func(c *batchSlot, rest []byte) (int, error) {
+		payload, units, n, err := landmark.DecodePayloadAppend(rest, params.C, params.Bits, b.units)
+		b.units = units
+		c.payload = payload
+		return n, err
+	}
+	if !b.auditNetwork(v, ldmSigCtx(params), ref.Alg, recs, mhtps, sigs, verdicts, onParse) {
 		return false
 	}
 	for k, p := range proofs {
-		if p == nil {
+		if !b.live[k] {
 			continue
 		}
 		it := sel[k]
-		if b.resolver == nil {
-			b.resolver = landmark.NewResolver(params)
-		} else {
-			b.resolver.Reset(params)
+		b.resolver.Reset(params)
+		err := b.view(k, len(p.Tuples), func(c *batchSlot) { b.resolver.Add(c.tuple.ID, c.payload) })
+		if err == nil {
+			b.resolver.Resolve(b.tab.lookup)
+			err = verifyLDMSearch(&b.search, &b.tab, &b.resolver, it.VS, it.VT, p)
 		}
-		tuples, err := b.fillTuples(p.Tuples, func(c *cachedTuple) {
-			b.resolver.Add(c.tuple.ID, c.payload)
-		})
 		if err != nil {
-			verdicts[k] = errRetry
-			continue
-		}
-		claimed, err := checkClaimedPath(tuples, p.Path, it.VS, it.VT, p.Dist)
-		if err != nil {
-			verdicts[k] = errRetry
-			continue
-		}
-		clear(b.dist)
-		b.heap.Reset()
-		recomputed, err := tupleAStarInto(b.dist, b.heap, tuples, it.VS, it.VT, b.resolver.LB, claimed)
-		if err != nil || checkOptimal(recomputed, claimed) != nil {
 			verdicts[k] = errRetry
 		}
 	}
@@ -488,101 +542,69 @@ func (fullImpl) VerifyProofBatch(v SigVerifier, items []BatchItem) []error {
 }
 
 func fullBatchFast(b *batchScratch, v SigVerifier, sel []BatchItem, verdicts []error) bool {
+	b.resetFor(len(sel))
 	proofs := make([]*FULLProof, len(sel))
+	recs := make([][]tupleRecord, len(sel))
+	mhtps := make([]*mht.Proof, len(sel))
+	sigs := make([][]byte, len(sel))
 	var ref *mht.Proof
 	for k, it := range sel {
 		p, ok := it.Proof.(*FULLProof)
 		if !ok || p == nil || p.DistVO == nil || p.MHT == nil || !sameShape(&ref, p.MHT) {
 			verdicts[k] = errRetry
+			b.live[k] = false
 			continue
 		}
 		proofs[k] = p
 	}
 	// Distance forest: reconstruct each proof's row locally, then audit the
 	// shared top tree over the merged row roots.
-	rowLeaf := make([][]int, len(sel))
+	b.audit.reset()
 	for k, p := range proofs {
-		if p == nil {
+		if !b.live[k] {
 			continue
 		}
 		it := sel[k]
 		i, j := p.DistVO.Entry.Key.Split()
-		if graph.NodeID(i) != it.VS || graph.NodeID(j) != it.VT {
-			verdicts[k] = errRetry
-			proofs[k] = nil
-			continue
-		}
 		li, rowRoot, err := p.DistVO.RowLeaf()
-		if err != nil {
+		if graph.NodeID(i) != it.VS || graph.NodeID(j) != it.VT || err != nil {
 			verdicts[k] = errRetry
-			proofs[k] = nil
+			b.live[k] = false
 			continue
 		}
-		if prev, dup := b.known2[li]; dup && !bytes.Equal(prev, rowRoot) {
-			return false // two proofs disagree about one row root
-		}
-		b.known2[li] = rowRoot
-		rowLeaf[k] = []int{li}
+		b.known2 = append(b.known2, mht.Leaf{Index: uint32(li), Digest: rowRoot})
+		b.lists2[k] = append(b.lists2[k], uint32(li))
+		b.audit.add(k, p.DistVO.Top, b.lists2[k], p.DistSig)
 	}
-	var tops []*mht.Proof
-	var topLvs [][]int
-	var distSigs [][]byte
-	var ks []int
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		tops = append(tops, p.DistVO.Top)
-		topLvs = append(topLvs, rowLeaf[k])
-		distSigs = append(distSigs, p.DistSig)
-		ks = append(ks, k)
+	known2, _, ok := mht.SortLeaves(b.known2)
+	if !ok {
+		return false // two proofs disagree about one row root
 	}
-	if !b.auditShared(v, fullDistCtx, b.known2, tops, topLvs, distSigs, ks, verdicts,
-		func(k int) { proofs[k] = nil }) {
+	if !b.auditShared(v, fullDistCtx, known2, &b.audit, verdicts, b.withdraw) {
 		return false
 	}
 	// Network tree over the path tuples.
-	leaves := make([][]int, len(sel))
 	for k, p := range proofs {
-		if p == nil {
-			continue
+		if b.live[k] {
+			recs[k], mhtps[k], sigs[k] = p.Tuples, p.MHT, p.NetSig
 		}
-		lv, err := b.mergeTupleRecords(p.MHT.Alg, p.Tuples, nil)
-		if err != nil {
-			verdicts[k] = errRetry
-			proofs[k] = nil
-			continue
-		}
-		leaves[k] = lv
 	}
-	var mhtps []*mht.Proof
-	var lvs [][]int
-	var netSigs [][]byte
-	ks = ks[:0]
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		mhtps = append(mhtps, p.MHT)
-		lvs = append(lvs, leaves[k])
-		netSigs = append(netSigs, p.NetSig)
-		ks = append(ks, k)
+	if ref == nil {
+		return true
 	}
-	if !b.auditShared(v, fullNetCtx, b.known, mhtps, lvs, netSigs, ks, verdicts,
-		func(k int) { proofs[k] = nil }) {
+	if !b.auditNetwork(v, fullNetCtx, ref.Alg, recs, mhtps, sigs, verdicts, nil) {
 		return false
 	}
 	for k, p := range proofs {
-		if p == nil {
+		if !b.live[k] {
 			continue
 		}
 		it := sel[k]
-		tuples, err := b.fillTuples(p.Tuples, nil)
-		if err != nil {
+		if b.view(k, len(p.Tuples), nil) != nil {
 			verdicts[k] = errRetry
 			continue
 		}
-		claimed, err := checkClaimedPath(tuples, p.Path, it.VS, it.VT, p.Dist)
+		claimed, err := checkClaimedPath(&b.tab, p.Path, it.VS, it.VT, p.Dist)
 		if err != nil || checkOptimal(p.DistVO.Entry.Value, claimed) != nil {
 			verdicts[k] = errRetry
 		}
@@ -597,17 +619,25 @@ func (hypImpl) VerifyProofBatch(v SigVerifier, items []BatchItem) []error {
 }
 
 func hypBatchFast(b *batchScratch, v SigVerifier, sel []BatchItem, verdicts []error) bool {
+	b.resetFor(len(sel))
 	proofs := make([]*HYPProof, len(sel))
+	recs := make([][]tupleRecord, len(sel))
+	mhtps := make([]*mht.Proof, len(sel))
+	sigs := make([][]byte, len(sel))
 	var ref *mht.Proof
 	for k, it := range sel {
 		p, ok := it.Proof.(*HYPProof)
 		if !ok || p == nil || p.MHT == nil || !sameShape(&ref, p.MHT) {
 			verdicts[k] = errRetry
+			b.live[k] = false
 			continue
 		}
-		proofs[k] = p
+		proofs[k], recs[k], mhtps[k], sigs[k] = p, p.Tuples, p.MHT, p.NetSig
 	}
-	onParse := func(c *cachedTuple, rest []byte) (int, error) {
+	if ref == nil {
+		return true
+	}
+	onParse := func(c *batchSlot, rest []byte) (int, error) {
 		cell, isBorder, err := hiti.DecodeExtra(rest)
 		if err != nil {
 			return 0, err
@@ -615,91 +645,50 @@ func hypBatchFast(b *batchScratch, v SigVerifier, sel []BatchItem, verdicts []er
 		c.hmeta = hypMeta{cell: cell, isBorder: isBorder}
 		return hiti.ExtraSize, nil
 	}
-	leaves := make([][]int, len(sel))
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		lv, err := b.mergeTupleRecords(p.MHT.Alg, p.Tuples, onParse)
-		if err != nil {
-			verdicts[k] = errRetry
-			proofs[k] = nil
-			continue
-		}
-		leaves[k] = lv
-	}
-	var mhtps []*mht.Proof
-	var lvs [][]int
-	var netSigs [][]byte
-	var ks []int
-	for k, p := range proofs {
-		if p == nil {
-			continue
-		}
-		mhtps = append(mhtps, p.MHT)
-		lvs = append(lvs, leaves[k])
-		netSigs = append(netSigs, p.NetSig)
-		ks = append(ks, k)
-	}
-	if !b.auditShared(v, hypNetCtx, b.known, mhtps, lvs, netSigs, ks, verdicts,
-		func(k int) { proofs[k] = nil }) {
+	if !b.auditNetwork(v, hypNetCtx, ref.Alg, recs, mhtps, sigs, verdicts, onParse) {
 		return false
 	}
 	// Hyper-edge tree: merged audit over the proofs that carry one (a proof
 	// without hyper-edges has nothing to authenticate here, exactly like the
 	// per-proof verifier).
-	var hypers []*mht.Proof
-	var hyperLvs [][]int
-	var distSigs [][]byte
-	var hks []int
+	b.audit.reset()
 	var hyperRef *mht.Proof
 	for k, p := range proofs {
-		if p == nil || p.Hyper == nil {
+		if !b.live[k] || p.Hyper == nil {
 			continue
 		}
 		if p.Hyper.MHT == nil || !sameShape(&hyperRef, p.Hyper.MHT) {
 			verdicts[k] = errRetry
-			proofs[k] = nil
+			b.live[k] = false
 			continue
 		}
-		lv, err := p.Hyper.MergeLeafDigests(b.known2)
-		if err != nil {
-			return false // conflicting hyper-edge entries across proofs
+		b.known2, b.arena2 = p.Hyper.AppendLeafDigests(b.known2, b.arena2)
+		for _, e := range p.Hyper.Entries {
+			b.lists2[k] = append(b.lists2[k], e.Index)
 		}
-		hypers = append(hypers, p.Hyper.MHT)
-		hyperLvs = append(hyperLvs, lv)
-		distSigs = append(distSigs, p.DistSig)
-		hks = append(hks, k)
+		slices.Sort(b.lists2[k])
+		b.lists2[k] = slices.Compact(b.lists2[k])
+		b.audit.add(k, p.Hyper.MHT, b.lists2[k], p.DistSig)
 	}
-	if !b.auditShared(v, hypDistCtx, b.known2, hypers, hyperLvs, distSigs, hks, verdicts,
-		func(k int) { proofs[k] = nil }) {
+	known2, _, ok := mht.SortLeaves(b.known2)
+	if !ok {
+		return false // conflicting hyper-edge entries across proofs
+	}
+	if !b.auditShared(v, hypDistCtx, known2, &b.audit, verdicts, b.withdraw) {
 		return false
 	}
 	for k, p := range proofs {
-		if p == nil {
+		if !b.live[k] {
 			continue
 		}
 		it := sel[k]
-		clear(b.meta)
-		tuples, err := b.fillTuples(p.Tuples, func(c *cachedTuple) {
-			b.meta[c.tuple.ID] = c.hmeta
-		})
-		if err != nil {
-			verdicts[k] = errRetry
-			continue
-		}
-		clear(b.hyperW)
+		b.meta = b.meta[:0]
+		err := b.view(k, len(p.Tuples), func(c *batchSlot) { b.meta = append(b.meta, c.hmeta) })
+		b.hyper = b.hyper[:0]
 		if p.Hyper != nil {
-			for _, e := range p.Hyper.Entries {
-				b.hyperW[e.Key] = e.Value
-			}
+			b.hyper.fill(p.Hyper.Entries)
 		}
-		claimed, err := checkClaimedPath(tuples, p.Path, it.VS, it.VT, p.Dist)
-		if err != nil {
-			verdicts[k] = errRetry
-			continue
-		}
-		if hypCoarse(b.cells, tuples, b.meta, b.hyperW, it.VS, it.VT, claimed) != nil {
+		if err != nil || verifyHYPSearch(&b.cellS, &b.cellT, &b.tab, b.meta, b.hyper, it.VS, it.VT, p) != nil {
 			verdicts[k] = errRetry
 		}
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/mbt"
@@ -58,6 +61,29 @@ func recKey(r tupleRecord) string {
 	var p [4]byte
 	binary.BigEndian.PutUint32(p[:], r.Pos)
 	return string(p[:]) + string(r.Bytes)
+}
+
+// hasDuplicateRecord reports whether two records share position and
+// bytes: one sort of record indices by (position, bytes), no per-record
+// key strings.
+func hasDuplicateRecord(recs []tupleRecord) bool {
+	order := make([]int32, len(recs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	compare := func(a, b int32) int {
+		if c := cmp.Compare(recs[a].Pos, recs[b].Pos); c != 0 {
+			return c
+		}
+		return bytes.Compare(recs[a].Bytes, recs[b].Bytes)
+	}
+	slices.SortFunc(order, compare)
+	for i := 1; i < len(order); i++ {
+		if compare(order[i-1], order[i]) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (t *batchTables) sigRef(sig []byte) uint32 {
@@ -506,7 +532,6 @@ func DecodeProofBatch(buf []byte) (*ProofBatch, int, error) {
 		return nil, 0, fmt.Errorf("%w: tuple table truncated", ErrMalformedProof)
 	}
 	t.recs = make([]tupleRecord, 0, recCount)
-	recSeen := make(map[string]struct{}, recCount)
 	for i := 0; i < recCount; i++ {
 		if len(buf[off:]) < 4 {
 			return nil, 0, fmt.Errorf("%w: tuple table entry truncated", ErrMalformedProof)
@@ -518,12 +543,10 @@ func DecodeProofBatch(buf []byte) (*ProofBatch, int, error) {
 			return nil, 0, err
 		}
 		off += n
-		r := tupleRecord{Pos: pos, Bytes: body}
-		if _, dup := recSeen[recKey(r)]; dup {
-			return nil, 0, fmt.Errorf("%w: duplicate tuple table entry", ErrMalformedProof)
-		}
-		recSeen[recKey(r)] = struct{}{}
-		t.recs = append(t.recs, r)
+		t.recs = append(t.recs, tupleRecord{Pos: pos, Bytes: body})
+	}
+	if hasDuplicateRecord(t.recs) {
+		return nil, 0, fmt.Errorf("%w: duplicate tuple table entry", ErrMalformedProof)
 	}
 
 	// Items.

@@ -109,20 +109,27 @@ func VerifyDIJ(verifier sigVerifier, vs, vt graph.NodeID, proof *DIJProof) error
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, nil)
-	if err != nil {
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	if err := s.tab.parse(proof.MHT.Alg, proof.Tuples, nil); err != nil {
 		return reject(err)
 	}
-	if err := verifyTupleRoot(parsed, proof.MHT, dijSigCtx, proof.RootSig, verifier); err != nil {
+	if err := s.verifyRoot(proof.MHT, dijSigCtx, proof.RootSig, verifier); err != nil {
 		return err
 	}
+	return verifyDIJSearch(&s.search, &s.tab, vs, vt, proof)
+}
+
+// verifyDIJSearch is the part of VerifyDIJ after authentication — the
+// path check and the Dijkstra re-run over the proof subgraph (Lemma 1) —
+// shared verbatim by the single and batch verifiers.
+func verifyDIJSearch(s *searchState, t *tupleTable, vs, vt graph.NodeID, proof *DIJProof) error {
 	// Path structure: endpoints, real edges (certified by tuples), length.
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+	claimed, err := checkClaimedPath(t, proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}
-	// Re-run Dijkstra over the proof subgraph (Lemma 1).
-	recomputed, err := tupleDijkstra(parsed.tuples, vs, vt, claimed)
+	recomputed, err := tupleDijkstra(s, t, vs, vt, claimed)
 	if err != nil {
 		return reject(err)
 	}
@@ -133,11 +140,11 @@ func VerifyDIJ(verifier sigVerifier, vs, vt graph.NodeID, proof *DIJProof) error
 // tuples: endpoints match the query, every hop is a certified edge, and the
 // claimed distance equals the path's weight sum. It returns the verified
 // path length.
-func checkClaimedPath(tuples map[graph.NodeID]graph.Tuple, path graph.Path, vs, vt graph.NodeID, claimed float64) (float64, error) {
+func checkClaimedPath(t *tupleTable, path graph.Path, vs, vt graph.NodeID, claimed float64) (float64, error) {
 	if len(path) < 2 || path.Source() != vs || path.Target() != vt {
 		return 0, reject(fmt.Errorf("%w: endpoints", ErrPathMismatch))
 	}
-	sum, err := path.DistInTuples(tuples)
+	sum, err := path.DistInTuples(t.tuple)
 	if err != nil {
 		return 0, reject(fmt.Errorf("%w: %v", ErrPathMismatch, err))
 	}

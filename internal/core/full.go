@@ -172,14 +172,15 @@ func VerifyFULL(verifier sigVerifier, vs, vt graph.NodeID, proof *FULLProof) err
 	trueDist := proof.DistVO.Entry.Value
 
 	// Network ADS over the path tuples.
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, nil)
-	if err != nil {
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	if err := s.tab.parse(proof.MHT.Alg, proof.Tuples, nil); err != nil {
 		return reject(err)
 	}
-	if err := verifyTupleRoot(parsed, proof.MHT, fullNetCtx, proof.NetSig, verifier); err != nil {
+	if err := s.verifyRoot(proof.MHT, fullNetCtx, proof.NetSig, verifier); err != nil {
 		return err
 	}
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+	claimed, err := checkClaimedPath(&s.tab, proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}

@@ -181,120 +181,85 @@ func VerifyHYP(verifier sigVerifier, vs, vt graph.NodeID, proof *HYPProof) error
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
-	meta := make(map[graph.NodeID]hypMeta)
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, func(t *graph.Tuple, rest []byte) (int, error) {
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	s.meta = s.meta[:0]
+	err := s.tab.parse(proof.MHT.Alg, proof.Tuples, func(_ graph.NodeID, rest []byte) (int, error) {
 		cell, isBorder, err := hiti.DecodeExtra(rest)
 		if err != nil {
 			return 0, err
 		}
-		meta[t.ID] = hypMeta{cell: cell, isBorder: isBorder}
+		s.meta = append(s.meta, hypMeta{cell: cell, isBorder: isBorder})
 		return hiti.ExtraSize, nil
 	})
 	if err != nil {
 		return reject(err)
 	}
-	if err := verifyTupleRoot(parsed, proof.MHT, hypNetCtx, proof.NetSig, verifier); err != nil {
+	if err := s.verifyRoot(proof.MHT, hypNetCtx, proof.NetSig, verifier); err != nil {
 		return err
 	}
 	// Authenticate the hyper-edge entries (if any) and index them.
-	hyperW := make(map[mbt.Key]float64)
+	s.hyper = s.hyper[:0]
 	if proof.Hyper != nil {
-		distRoot, err := proof.Hyper.Root()
+		distRoot, err := proof.Hyper.RootWith(&s.hyperRec)
 		if err != nil {
 			return reject(fmt.Errorf("%w: %v", ErrIncompleteProof, err))
 		}
-		msg := append(append([]byte(nil), hypDistCtx...), distRoot...)
-		if err := verifier.Verify(msg, proof.DistSig); err != nil {
-			return reject(ErrBadSignature)
+		if err := s.checkSig(verifier, hypDistCtx, distRoot, proof.DistSig); err != nil {
+			return err
 		}
-		for _, e := range proof.Hyper.Entries {
-			hyperW[e.Key] = e.Value
-		}
+		s.hyper.fill(proof.Hyper.Entries)
 	}
+	return verifyHYPSearch(&s.cellS, &s.cellT, &s.tab, s.meta, s.hyper, vs, vt, proof)
+}
 
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+// verifyHYPSearch is the part of VerifyHYP after authentication — the
+// path check and the coarse re-computation of Theorem 2: intra-cell
+// searches from both endpoints stitched through authenticated hyper-edge
+// weights — shared verbatim by the single and batch verifiers so their
+// verdicts cannot diverge. meta is indexed by local node.
+func verifyHYPSearch(cs, ct *searchState, t *tupleTable, meta []hypMeta, hyper hyperTable,
+	vs, vt graph.NodeID, proof *HYPProof) error {
+
+	claimed, err := checkClaimedPath(t, proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}
-
-	return hypCoarse(newCellSearchScratch(), parsed.tuples, meta, hyperW, vs, vt, claimed)
-}
-
-// cellSearchScratch is the search state hypCoarse's two intra-cell
-// Dijkstras run on. The single verifier allocates a fresh one per proof;
-// batch verification reuses one pooled instance across a whole batch.
-type cellSearchScratch struct {
-	distS, distT map[graph.NodeID]float64
-	doneS, doneT map[graph.NodeID]bool
-	h            *sp.Heap
-}
-
-func newCellSearchScratch() *cellSearchScratch {
-	return &cellSearchScratch{
-		distS: map[graph.NodeID]float64{},
-		distT: map[graph.NodeID]float64{},
-		doneS: map[graph.NodeID]bool{},
-		doneT: map[graph.NodeID]bool{},
-		h:     sp.NewHeap(16),
-	}
-}
-
-func (sc *cellSearchScratch) reset() {
-	clear(sc.distS)
-	clear(sc.distT)
-	clear(sc.doneS)
-	clear(sc.doneT)
-	sc.h.Reset()
-}
-
-// hypCoarse is the coarse re-computation of Theorem 2 — intra-cell searches
-// from both endpoints stitched through authenticated hyper-edge weights —
-// shared verbatim by the single and batch HYP verifiers so their verdicts
-// cannot diverge.
-func hypCoarse(sc *cellSearchScratch, tuples map[graph.NodeID]graph.Tuple, meta map[graph.NodeID]hypMeta,
-	hyperW map[mbt.Key]float64, vs, vt graph.NodeID, claimed float64) error {
-	msMeta, ok := meta[vs]
-	if !ok {
+	src, dst := t.local(vs), t.local(vt)
+	if src < 0 {
 		return reject(fmt.Errorf("%w: no tuple for source %d", ErrIncompleteProof, vs))
 	}
-	mtMeta, ok := meta[vt]
-	if !ok {
+	if dst < 0 {
 		return reject(fmt.Errorf("%w: no tuple for target %d", ErrIncompleteProof, vt))
 	}
-	sc.reset()
-	dS, err := cellDijkstraInto(sc.distS, sc.doneS, sc.h, tuples, meta, vs)
-	if err != nil {
+	if err := cellDijkstra(cs, t, meta, vs); err != nil {
 		return reject(err)
 	}
-	sc.h.Reset()
-	dT, err := cellDijkstraInto(sc.distT, sc.doneT, sc.h, tuples, meta, vt)
-	if err != nil {
+	if err := cellDijkstra(ct, t, meta, vt); err != nil {
 		return reject(err)
 	}
 
 	coarse := math.MaxFloat64
-	if msMeta.cell == mtMeta.cell {
-		if d, ok := dS[vt]; ok && d < coarse {
-			coarse = d
-		}
+	if meta[src].cell == meta[dst].cell && cs.mark[dst] == markDone && cs.dist[dst] < coarse {
+		coarse = cs.dist[dst]
 	}
-	for bs, ds := range dS {
+	for _, bs := range cs.settled {
 		if !meta[bs].isBorder {
 			continue
 		}
-		for bt, dt := range dT {
+		for _, bt := range ct.settled {
 			if !meta[bt].isBorder {
 				continue
 			}
-			w, ok := hyperW[hiti.HyperKey(bs, bt, meta[bs].cell, meta[bt].cell)]
+			w, ok := hyper.weight(hiti.HyperKey(t.tuples[bs].ID, t.tuples[bt].ID, meta[bs].cell, meta[bt].cell))
 			if !ok {
 				return reject(fmt.Errorf("%w: hyper-edge (%d, %d) missing from proof",
-					ErrIncompleteProof, bs, bt))
+					ErrIncompleteProof, t.tuples[bs].ID, t.tuples[bt].ID))
 			}
 			if w == sp.Unreachable {
 				continue
 			}
-			if c := ds + w + dt; c < coarse {
+			if c := cs.dist[bs] + w + ct.dist[bt]; c < coarse {
 				coarse = c
 			}
 		}

@@ -162,26 +162,40 @@ func VerifyLDM(verifier sigVerifier, vs, vt graph.NodeID, proof *LDMProof) error
 		proof.Params.Lambda <= 0 || math.IsNaN(proof.Params.Lambda) || math.IsInf(proof.Params.Lambda, 0) {
 		return reject(fmt.Errorf("%w: bad hint parameters %+v", ErrMalformedProof, proof.Params))
 	}
-	resolver := landmark.NewResolver(proof.Params)
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, func(t *graph.Tuple, rest []byte) (int, error) {
-		payload, n, err := landmark.DecodePayload(rest, proof.Params.C, proof.Params.Bits)
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	s.resolver.Reset(proof.Params)
+	s.units = s.units[:0]
+	err := s.tab.parse(proof.MHT.Alg, proof.Tuples, func(id graph.NodeID, rest []byte) (int, error) {
+		payload, units, n, err := landmark.DecodePayloadAppend(rest, proof.Params.C, proof.Params.Bits, s.units)
+		s.units = units
 		if err != nil {
 			return 0, err
 		}
-		resolver.Add(t.ID, payload)
+		s.resolver.Add(id, payload)
 		return n, nil
 	})
 	if err != nil {
 		return reject(err)
 	}
-	if err := verifyTupleRoot(parsed, proof.MHT, ldmSigCtx(proof.Params), proof.RootSig, verifier); err != nil {
+	s.resolver.Resolve(s.tab.lookup)
+	if err := s.verifyRoot(proof.MHT, ldmSigCtx(proof.Params), proof.RootSig, verifier); err != nil {
 		return err
 	}
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+	return verifyLDMSearch(&s.search, &s.tab, &s.resolver, vs, vt, proof)
+}
+
+// verifyLDMSearch is the part of VerifyLDM after authentication — the
+// path check and the A* re-run with the landmark bound, resolved once per
+// local node in r — shared verbatim by the single and batch verifiers.
+func verifyLDMSearch(s *searchState, t *tupleTable, r *landmark.Resolver, vs, vt graph.NodeID, proof *LDMProof) error {
+	claimed, err := checkClaimedPath(t, proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}
-	recomputed, err := tupleAStar(parsed.tuples, vs, vt, resolver.LB, claimed)
+	dst := int(t.local(vt))
+	lb := func(u int32) (float64, error) { return r.LB(int(u), dst) }
+	recomputed, err := tupleAStar(s, t, vs, vt, lb, claimed)
 	if err != nil {
 		return reject(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/authhints/spv/internal/geom"
@@ -17,6 +18,62 @@ func tuplesOf(g *graph.Graph) map[graph.NodeID]graph.Tuple {
 		out[graph.NodeID(v)] = g.TupleOf(graph.NodeID(v))
 	}
 	return out
+}
+
+// tableOf indexes a tuple map, in descending node order so local indices
+// differ from node IDs, into the tuple table the searches run on.
+func tableOf(t *testing.T, tuples map[graph.NodeID]graph.Tuple) *tupleTable {
+	t.Helper()
+	ids := make([]graph.NodeID, 0, len(tuples))
+	for v := range tuples {
+		ids = append(ids, v)
+	}
+	slices.SortFunc(ids, func(a, b graph.NodeID) int { return int(b - a) })
+	tab := &tupleTable{}
+	for _, v := range ids {
+		tab.tuples = append(tab.tuples, tuples[v])
+	}
+	if err := tab.index(); err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// metaOf lays a per-node annotation map out by the table's local index.
+func metaOf(tab *tupleTable, meta map[graph.NodeID]hypMeta) []hypMeta {
+	out := make([]hypMeta, len(tab.tuples))
+	for i, tu := range tab.tuples {
+		out[i] = meta[tu.ID]
+	}
+	return out
+}
+
+// tupleDijkstraMap runs tupleDijkstra on a fresh table and search state.
+func tupleDijkstraMap(t *testing.T, tuples map[graph.NodeID]graph.Tuple, src, dst graph.NodeID, bound float64) (float64, error) {
+	return tupleDijkstra(&searchState{}, tableOf(t, tuples), src, dst, bound)
+}
+
+// tupleAStarMap runs tupleAStar with a node-keyed lower bound to dst.
+func tupleAStarMap(t *testing.T, tuples map[graph.NodeID]graph.Tuple, src, dst graph.NodeID,
+	lb func(u, v graph.NodeID) (float64, error), bound float64) (float64, error) {
+	tab := tableOf(t, tuples)
+	local := func(u int32) (float64, error) { return lb(tab.tuples[u].ID, dst) }
+	return tupleAStar(&searchState{}, tab, src, dst, local, bound)
+}
+
+// cellDijkstraMap runs cellDijkstra from src and returns the settled
+// same-cell nodes' distances by node.
+func cellDijkstraMap(t *testing.T, tuples map[graph.NodeID]graph.Tuple, meta map[graph.NodeID]hypMeta, src graph.NodeID) (map[graph.NodeID]float64, error) {
+	tab := tableOf(t, tuples)
+	var s searchState
+	if err := cellDijkstra(&s, tab, metaOf(tab, meta), src); err != nil {
+		return nil, err
+	}
+	dist := map[graph.NodeID]float64{}
+	for _, v := range s.settled {
+		dist[tab.tuples[v].ID] = s.dist[v]
+	}
+	return dist, nil
 }
 
 // searchFixture builds a small random connected graph and a query pair.
@@ -51,7 +108,7 @@ func searchFixture(t *testing.T, seed int64) (*graph.Graph, graph.NodeID, graph.
 func TestTupleDijkstraMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g, vs, vt, want := searchFixture(t, seed)
-		got, err := tupleDijkstra(tuplesOf(g), vs, vt, want)
+		got, err := tupleDijkstraMap(t, tuplesOf(g), vs, vt, want)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -77,7 +134,7 @@ func TestTupleDijkstraDetectsMissingRequiredNode(t *testing.T) {
 		t.Skip("no interior node to drop")
 	}
 	delete(tuples, victim)
-	_, err := tupleDijkstra(tuples, vs, vt, want)
+	_, err := tupleDijkstraMap(t, tuples, vs, vt, want)
 	if !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("missing node not detected: %v", err)
 	}
@@ -89,7 +146,7 @@ func TestTupleDijkstraUnreachableTarget(t *testing.T) {
 	g.AddNode(1, 0)
 	g.AddNode(2, 0)
 	g.MustAddEdge(0, 1, 1)
-	got, err := tupleDijkstra(tuplesOf(g), 0, 2, 100)
+	got, err := tupleDijkstraMap(t, tuplesOf(g), 0, 2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +159,7 @@ func TestTupleAStarMatchesOracleWithZeroLB(t *testing.T) {
 	zero := func(u, v graph.NodeID) (float64, error) { return 0, nil }
 	for seed := int64(0); seed < 10; seed++ {
 		g, vs, vt, want := searchFixture(t, seed)
-		got, err := tupleAStar(tuplesOf(g), vs, vt, zero, want)
+		got, err := tupleAStarMap(t, tuplesOf(g), vs, vt, zero, want)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -129,7 +186,7 @@ func TestTupleAStarWithInconsistentAdmissibleLB(t *testing.T) {
 			}
 			return toT.Dist[u] * scale[u], nil
 		}
-		got, err := tupleAStar(tuplesOf(g), vs, vt, lb, want)
+		got, err := tupleAStarMap(t, tuplesOf(g), vs, vt, lb, want)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -143,7 +200,7 @@ func TestTupleAStarPropagatesLBErrors(t *testing.T) {
 	g, vs, vt, want := searchFixture(t, 5)
 	bad := errors.New("payload missing")
 	lb := func(u, v graph.NodeID) (float64, error) { return 0, bad }
-	_, err := tupleAStar(tuplesOf(g), vs, vt, lb, want)
+	_, err := tupleAStarMap(t, tuplesOf(g), vs, vt, lb, want)
 	if !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("LB error not mapped to incomplete proof: %v", err)
 	}
@@ -159,7 +216,7 @@ func TestTupleAStarMissingNeighborDetected(t *testing.T) {
 	}
 	delete(tuples, nbr)
 	zero := func(u, v graph.NodeID) (float64, error) { return 0, nil }
-	_, err := tupleAStar(tuples, vs, vt, zero, want)
+	_, err := tupleAStarMap(t, tuples, vs, vt, zero, want)
 	if !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("missing neighbor not detected: %v", err)
 	}
@@ -168,10 +225,11 @@ func TestTupleAStarMissingNeighborDetected(t *testing.T) {
 func TestCellDijkstraRequiresSourceTuple(t *testing.T) {
 	g, vs, _, _ := searchFixture(t, 9)
 	tuples := tuplesOf(g)
+	delete(tuples, vs)
 	meta := map[graph.NodeID]hypMeta{}
-	// No meta at all: source lookup must fail cleanly.
-	if _, err := cellDijkstra(tuples, meta, vs); !errors.Is(err, ErrIncompleteProof) {
-		t.Errorf("missing source meta not detected: %v", err)
+	// No tuple for the source: its lookup must fail cleanly.
+	if _, err := cellDijkstraMap(t, tuples, meta, vs); !errors.Is(err, ErrIncompleteProof) {
+		t.Errorf("missing source tuple not detected: %v", err)
 	}
 }
 
@@ -198,7 +256,7 @@ func TestCellDijkstraHonorsCellBoundaries(t *testing.T) {
 			isBorder: i == 2 || i == 3,
 		}
 	}
-	dist, err := cellDijkstra(tuples, meta, 0)
+	dist, err := cellDijkstraMap(t, tuples, meta, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +294,7 @@ func TestCellDijkstraDetectsPrunedNonBorderNeighbor(t *testing.T) {
 	}
 	delete(tuples, 1)
 	delete(meta, 1)
-	if _, err := cellDijkstra(tuples, meta, 0); !errors.Is(err, ErrIncompleteProof) {
+	if _, err := cellDijkstraMap(t, tuples, meta, 0); !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("pruned non-border neighbor not detected: %v", err)
 	}
 	// Pruning across the border (node 4, reached only via border 3) is
@@ -252,7 +310,7 @@ func TestCellDijkstraDetectsPrunedNonBorderNeighbor(t *testing.T) {
 	}
 	delete(tuples2, 4)
 	delete(meta2, 4)
-	if _, err := cellDijkstra(tuples2, meta2, 0); err != nil {
+	if _, err := cellDijkstraMap(t, tuples2, meta2, 0); err != nil {
 		t.Errorf("legal cross-border absence rejected: %v", err)
 	}
 }

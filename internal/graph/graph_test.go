@@ -304,12 +304,13 @@ func TestPathDistInTuples(t *testing.T) {
 	for _, v := range p {
 		tuples[v] = g.TupleOf(v)
 	}
-	d, err := p.DistInTuples(tuples)
+	lookup := func(v NodeID) (Tuple, bool) { tu, ok := tuples[v]; return tu, ok }
+	d, err := p.DistInTuples(lookup)
 	if err != nil || d != 8 {
 		t.Errorf("DistInTuples = %v, %v; want 8, nil", d, err)
 	}
 	delete(tuples, 4)
-	if _, err := p.DistInTuples(tuples); err == nil {
+	if _, err := p.DistInTuples(lookup); err == nil {
 		t.Error("missing tuple should fail")
 	}
 }

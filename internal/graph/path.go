@@ -56,16 +56,17 @@ func (p Path) DistIn(g *Graph) (float64, error) {
 }
 
 // DistInTuples computes the path distance using only a set of authenticated
-// extended-tuples, the client-side view of the graph. Every interior hop
-// must have its tail tuple present (a tuple carries full adjacency, so the
-// tail suffices to certify each edge). It fails on missing tuples or edges.
-func (p Path) DistInTuples(tuples map[NodeID]Tuple) (float64, error) {
+// extended-tuples, the client-side view of the graph, looked up by node
+// through tuple. Every interior hop must have its tail tuple present (a
+// tuple carries full adjacency, so the tail suffices to certify each edge).
+// It fails on missing tuples or edges.
+func (p Path) DistInTuples(tuple func(NodeID) (Tuple, bool)) (float64, error) {
 	if len(p) == 0 {
 		return 0, fmt.Errorf("%w: empty", ErrNotAPath)
 	}
 	total := 0.0
 	for i := 1; i < len(p); i++ {
-		t, ok := tuples[p[i-1]]
+		t, ok := tuple(p[i-1])
 		if !ok {
 			return 0, fmt.Errorf("%w: no tuple for node %d", ErrNotAPath, p[i-1])
 		}

@@ -66,9 +66,39 @@ func (t Tuple) EncodedSize() int {
 // callers that embed tuples in streams must know it from context (the base
 // methods use 0). It returns the tuple and the number of bytes consumed.
 func DecodeTuple(buf []byte, extraLen int) (Tuple, int, error) {
-	const head = 4 + 8 + 8 + 4
-	if len(buf) < head {
-		return Tuple{}, 0, fmt.Errorf("graph: tuple truncated (%d bytes)", len(buf))
+	t, _, off, err := DecodeTupleAppend(buf, make([]Edge, 0, EncodedDegree(buf)))
+	if err != nil {
+		return Tuple{}, 0, err
+	}
+	if len(buf)-off < extraLen {
+		return Tuple{}, 0, fmt.Errorf("graph: tuple adjacency truncated (deg=%d, have %d bytes)", len(t.Adj), len(buf))
+	}
+	if extraLen > 0 {
+		t.Extra = append([]byte(nil), buf[off:off+extraLen]...)
+		off += extraLen
+	}
+	return t, off, nil
+}
+
+// tupleHead is the fixed part of a tuple encoding: id, x, y and degree.
+const tupleHead = 4 + 8 + 8 + 4
+
+// EncodedDegree returns the adjacency length a tuple encoding declares,
+// capped by what buf can hold, for sizing a shared arena before decoding.
+func EncodedDegree(buf []byte) int {
+	if len(buf) < tupleHead {
+		return 0
+	}
+	return int(min(uint64(binary.BigEndian.Uint32(buf[20:])), uint64(len(buf)-tupleHead)/12))
+}
+
+// DecodeTupleAppend parses the base part of a canonical tuple encoding
+// (no Extra), appending its adjacency to edges so that many tuples share
+// one arena; t.Adj aliases the returned arena. It returns the tuple, the
+// extended arena and the number of bytes consumed.
+func DecodeTupleAppend(buf []byte, edges []Edge) (Tuple, []Edge, int, error) {
+	if len(buf) < tupleHead {
+		return Tuple{}, edges, 0, fmt.Errorf("graph: tuple truncated (%d bytes)", len(buf))
 	}
 	t := Tuple{
 		ID: NodeID(binary.BigEndian.Uint32(buf)),
@@ -76,24 +106,20 @@ func DecodeTuple(buf []byte, extraLen int) (Tuple, int, error) {
 		Y:  math.Float64frombits(binary.BigEndian.Uint64(buf[12:])),
 	}
 	deg := int(binary.BigEndian.Uint32(buf[20:]))
-	need := head + 12*deg + extraLen
-	if deg < 0 || len(buf) < need {
-		return Tuple{}, 0, fmt.Errorf("graph: tuple adjacency truncated (deg=%d, have %d bytes)", deg, len(buf))
+	if deg < 0 || (len(buf)-tupleHead)/12 < deg {
+		return Tuple{}, edges, 0, fmt.Errorf("graph: tuple adjacency truncated (deg=%d, have %d bytes)", deg, len(buf))
 	}
-	t.Adj = make([]Edge, deg)
-	off := head
+	start := len(edges)
+	off := tupleHead
 	for i := 0; i < deg; i++ {
-		t.Adj[i] = Edge{
+		edges = append(edges, Edge{
 			To: NodeID(binary.BigEndian.Uint32(buf[off:])),
 			W:  math.Float64frombits(binary.BigEndian.Uint64(buf[off+4:])),
-		}
+		})
 		off += 12
 	}
-	if extraLen > 0 {
-		t.Extra = append([]byte(nil), buf[off:off+extraLen]...)
-		off += extraLen
-	}
-	return t, off, nil
+	t.Adj = edges[start:len(edges):len(edges)]
+	return t, edges, off, nil
 }
 
 // Weight returns the weight of the edge from this tuple's node to neighbor

@@ -271,10 +271,7 @@ func TestPackUnpackProperty(t *testing.T) {
 			t.Logf("packed %d bytes, want %d", len(packed), (c*bits+7)/8)
 			return false
 		}
-		got, err := unpack(packed, c, bits)
-		if err != nil {
-			return false
-		}
+		got := unpackAppend(nil, packed, c, bits)
 		for i := range units {
 			if got[i] != units[i] {
 				return false
@@ -352,10 +349,11 @@ func TestResolverMatchesHints(t *testing.T) {
 	for v := 0; v < g.NumNodes(); v++ {
 		r.Add(graph.NodeID(v), h.PayloadOf(graph.NodeID(v)))
 	}
+	r.Resolve(func(v graph.NodeID) (int, bool) { return int(v), v >= 0 && int(v) < g.NumNodes() })
 	for trial := 0; trial < 300; trial++ {
 		u := graph.NodeID(rng.Intn(g.NumNodes()))
 		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		got, err := r.LB(u, v)
+		got, err := r.LB(int(u), int(v)) // local index == node ID here
 		if err != nil {
 			t.Fatalf("LB(%d,%d): %v", u, v, err)
 		}
@@ -387,20 +385,35 @@ func TestResolverMissingPayloads(t *testing.T) {
 		}
 	}
 	r := NewResolver(Params{C: h.C(), Bits: h.Bits, Lambda: h.Lambda})
-	if _, err := r.LB(comp, comp); err == nil {
+	local := map[graph.NodeID]int{}
+	lookup := func(v graph.NodeID) (int, bool) { i, ok := local[v]; return i, ok }
+	r.Resolve(lookup)
+	if _, err := r.LB(0, 0); err == nil {
 		t.Error("LB with no payloads succeeded")
 	}
-	r.Add(comp, h.PayloadOf(comp))
-	if !r.Has(comp) || r.Has(graph.NodeID(9999)) {
-		t.Error("Has() wrong")
-	}
+	local[comp] = r.Add(comp, h.PayloadOf(comp))
+	r.Resolve(lookup)
 	// Reference payload still missing.
-	if _, err := r.LB(comp, comp); err == nil {
+	if _, err := r.LB(local[comp], local[comp]); err == nil {
 		t.Error("LB with missing reference payload succeeded")
 	}
-	r.Add(h.Ref[comp], h.PayloadOf(h.Ref[comp]))
-	if _, err := r.LB(comp, comp); err != nil {
+	if _, err := r.LB(local[comp]+1, local[comp]); err == nil {
+		t.Error("LB of an unregistered local node succeeded")
+	}
+	local[h.Ref[comp]] = r.Add(h.Ref[comp], h.PayloadOf(h.Ref[comp]))
+	r.Resolve(lookup)
+	if _, err := r.LB(local[comp], local[comp]); err != nil {
 		t.Errorf("LB with full payloads failed: %v", err)
+	}
+	// A compressed node whose reference is itself compressed stays
+	// unresolved.
+	r.Reset(r.Params)
+	local = map[graph.NodeID]int{}
+	local[comp] = r.Add(comp, h.PayloadOf(comp))
+	local[h.Ref[comp]] = r.Add(h.Ref[comp], Payload{Ref: comp, Eps: 1})
+	r.Resolve(lookup)
+	if _, err := r.LB(local[comp], local[comp]); err == nil {
+		t.Error("LB through a compressed reference succeeded")
 	}
 }
 

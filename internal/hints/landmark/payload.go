@@ -66,30 +66,36 @@ func (p Payload) AppendBinary(bits int, buf []byte) []byte {
 // DecodePayload parses a payload for c landmarks at b bits, returning the
 // payload and the number of bytes consumed.
 func DecodePayload(buf []byte, c, bits int) (Payload, int, error) {
+	p, _, n, err := DecodePayloadAppend(buf, c, bits, nil)
+	return p, n, err
+}
+
+// DecodePayloadAppend is DecodePayload with a vector's units appended to
+// units, so that the payloads of one proof share one arena; p.Units
+// aliases the returned arena.
+func DecodePayloadAppend(buf []byte, c, bits int, units []uint32) (Payload, []uint32, int, error) {
 	if len(buf) < 1 {
-		return Payload{}, 0, fmt.Errorf("landmark: payload truncated")
+		return Payload{}, units, 0, fmt.Errorf("landmark: payload truncated")
 	}
 	switch buf[0] {
 	case tagVector:
 		need := 1 + (c*bits+7)/8
 		if len(buf) < need {
-			return Payload{}, 0, fmt.Errorf("landmark: vector payload truncated (%d of %d bytes)", len(buf), need)
+			return Payload{}, units, 0, fmt.Errorf("landmark: vector payload truncated (%d of %d bytes)", len(buf), need)
 		}
-		units, err := unpack(buf[1:need], c, bits)
-		if err != nil {
-			return Payload{}, 0, err
-		}
-		return Payload{HasVec: true, Units: units}, need, nil
+		start := len(units)
+		units = unpackAppend(units, buf[1:need], c, bits)
+		return Payload{HasVec: true, Units: units[start:len(units):len(units)]}, units, need, nil
 	case tagCompressed:
 		if len(buf) < CompressedPayloadSize {
-			return Payload{}, 0, fmt.Errorf("landmark: compressed payload truncated")
+			return Payload{}, units, 0, fmt.Errorf("landmark: compressed payload truncated")
 		}
 		return Payload{
 			Ref: graph.NodeID(binary.BigEndian.Uint32(buf[1:])),
 			Eps: binary.BigEndian.Uint32(buf[5:]),
-		}, CompressedPayloadSize, nil
+		}, units, CompressedPayloadSize, nil
 	default:
-		return Payload{}, 0, fmt.Errorf("landmark: unknown payload tag %#x", buf[0])
+		return Payload{}, units, 0, fmt.Errorf("landmark: unknown payload tag %#x", buf[0])
 	}
 }
 
@@ -111,13 +117,9 @@ func appendPacked(buf []byte, units []uint32, bits int) []byte {
 	return buf
 }
 
-// unpack reverses appendPacked for c units of the given width.
-func unpack(buf []byte, c, bits int) ([]uint32, error) {
-	need := (c*bits + 7) / 8
-	if len(buf) < need {
-		return nil, fmt.Errorf("landmark: packed stream has %d bytes, need %d", len(buf), need)
-	}
-	units := make([]uint32, c)
+// unpackAppend reverses appendPacked for c units of the given width,
+// appending them to units. buf must hold at least (c·bits+7)/8 bytes.
+func unpackAppend(units []uint32, buf []byte, c, bits int) []uint32 {
 	var acc uint64
 	var nbits, pos int
 	for i := 0; i < c; i++ {
@@ -127,9 +129,9 @@ func unpack(buf []byte, c, bits int) ([]uint32, error) {
 			nbits += 8
 		}
 		nbits -= bits
-		units[i] = uint32(acc>>nbits) & ((1 << bits) - 1)
+		units = append(units, uint32(acc>>nbits)&((1<<bits)-1))
 	}
-	return units, nil
+	return units
 }
 
 // Params are the global hint parameters a client needs to interpret
@@ -141,68 +143,84 @@ type Params struct {
 	Lambda float64
 }
 
-// Resolver evaluates Lemma 4 lower bounds on the client side from a set of
-// authenticated payloads (one per tuple in the proof).
+// Resolver evaluates Lemma 4 lower bounds on the client side over the
+// authenticated payloads of one proof (one per tuple), addressed by the
+// proof's local tuple index 0..n-1 rather than by node ID, so its memory
+// is bounded by the record count. Resolve follows each node's reference
+// once; LB then costs one pass over c quantized units.
 type Resolver struct {
 	Params
-	payloads map[graph.NodeID]Payload
+	ids      []graph.NodeID
+	payloads []Payload
+	vecs     [][]uint32 // resolved vector per local node; nil if unresolvable
+	eps      []uint32
 }
 
 // NewResolver creates an empty resolver for the given parameters.
-func NewResolver(p Params) *Resolver {
-	return &Resolver{Params: p, payloads: make(map[graph.NodeID]Payload)}
-}
-
-// Add registers node v's payload.
-func (r *Resolver) Add(v graph.NodeID, p Payload) { r.payloads[v] = p }
+func NewResolver(p Params) *Resolver { return &Resolver{Params: p} }
 
 // Reset empties the resolver and re-arms it for the given parameters,
-// keeping its map storage. Batch verification resolves one proof after
-// another on a single pooled resolver instead of allocating one per proof.
+// keeping its storage, so one verifier resolves proof after proof without
+// allocating.
 func (r *Resolver) Reset(p Params) {
 	r.Params = p
-	clear(r.payloads)
+	r.ids = r.ids[:0]
+	r.payloads = r.payloads[:0]
+	r.vecs = r.vecs[:0]
+	r.eps = r.eps[:0]
 }
 
-// Has reports whether v's payload is registered.
-func (r *Resolver) Has(v graph.NodeID) bool {
-	_, ok := r.payloads[v]
-	return ok
+// Add registers node v's payload as the next local node and returns its
+// local index. Call Resolve after the last Add.
+func (r *Resolver) Add(v graph.NodeID, p Payload) int {
+	r.ids = append(r.ids, v)
+	r.payloads = append(r.payloads, p)
+	return len(r.ids) - 1
 }
 
-// vector resolves the quantized vector and ε for node v, following the
+// Resolve fixes every local node's quantized vector and ε, following the
 // reference indirection at most one level (representatives always carry
-// their own vectors).
-func (r *Resolver) vector(v graph.NodeID) ([]uint32, uint32, error) {
-	p, ok := r.payloads[v]
-	if !ok {
-		return nil, 0, fmt.Errorf("landmark: no payload for node %d", v)
+// their own vectors). local maps a node ID to its local index, reporting
+// absence. A node whose reference is absent or itself compressed stays
+// unresolved; LB reports it when asked.
+func (r *Resolver) Resolve(local func(graph.NodeID) (int, bool)) {
+	r.vecs = append(r.vecs[:0], make([][]uint32, len(r.payloads))...)
+	r.eps = append(r.eps[:0], make([]uint32, len(r.payloads))...)
+	for i, p := range r.payloads {
+		if p.HasVec {
+			r.vecs[i] = p.Units
+			continue
+		}
+		if j, ok := local(p.Ref); ok && r.payloads[j].HasVec {
+			r.vecs[i], r.eps[i] = r.payloads[j].Units, p.Eps
+		}
 	}
-	if p.HasVec {
-		return p.Units, 0, nil
-	}
-	rp, ok := r.payloads[p.Ref]
-	if !ok {
-		return nil, 0, fmt.Errorf("landmark: node %d references %d whose payload is missing", v, p.Ref)
-	}
-	if !rp.HasVec {
-		return nil, 0, fmt.Errorf("landmark: reference node %d of %d is itself compressed", p.Ref, v)
-	}
-	return rp.Units, p.Eps, nil
 }
 
-// LB computes the Lemma 4 lower bound between u and v:
+// vector returns local node i's resolved vector and ε.
+func (r *Resolver) vector(i int) ([]uint32, uint32, error) {
+	if i < 0 || i >= len(r.vecs) {
+		return nil, 0, fmt.Errorf("landmark: no payload for local node %d", i)
+	}
+	if r.vecs[i] == nil {
+		return nil, 0, fmt.Errorf("landmark: node %d references %d whose payload is missing or compressed",
+			r.ids[i], r.payloads[i].Ref)
+	}
+	return r.vecs[i], r.eps[i], nil
+}
+
+// LB computes the Lemma 4 lower bound between local nodes i and j:
 //
-//	max{0, distLB^loose(u.θ, v.θ) − (u.ε + v.ε)·λ}
+//	max{0, distLB^loose(i.θ, j.θ) − (i.ε + j.ε)·λ}
 //
 // It fails if a needed payload is absent — the client treats that as an
 // invalid proof.
-func (r *Resolver) LB(u, v graph.NodeID) (float64, error) {
-	vu, eu, err := r.vector(u)
+func (r *Resolver) LB(i, j int) (float64, error) {
+	vu, eu, err := r.vector(i)
 	if err != nil {
 		return 0, err
 	}
-	vv, ev, err := r.vector(v)
+	vv, ev, err := r.vector(j)
 	if err != nil {
 		return 0, err
 	}
@@ -210,12 +228,12 @@ func (r *Resolver) LB(u, v graph.NodeID) (float64, error) {
 		return 0, fmt.Errorf("landmark: vector length mismatch (%d vs %d)", len(vu), len(vv))
 	}
 	var maxDiff uint32
-	for i := range vu {
+	for k := range vu {
 		var d uint32
-		if vu[i] > vv[i] {
-			d = vu[i] - vv[i]
+		if vu[k] > vv[k] {
+			d = vu[k] - vv[k]
 		} else {
-			d = vv[i] - vu[i]
+			d = vv[k] - vu[k]
 		}
 		if d > maxDiff {
 			maxDiff = d

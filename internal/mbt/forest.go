@@ -271,16 +271,11 @@ func (f *Forest) ProveWith(s *ForestScratch, i, j int) (*ForestProof, error) {
 // Root reconstructs the forest root implied by the proof, without trusted
 // input, for signature binding.
 func (p *ForestProof) Root() ([]byte, error) {
-	if p.Row == nil || p.Top == nil {
-		return nil, errors.New("mbt: forest proof missing parts")
-	}
-	i, j := p.Entry.Key.Split()
-	leaf := p.Row.Alg.Sum(p.Entry.AppendBinary(nil))
-	rowRoot, err := mht.Reconstruct(p.Row, map[int][]byte{int(j): leaf})
+	i, rowRoot, err := p.RowLeaf()
 	if err != nil {
-		return nil, fmt.Errorf("mbt: row reconstruction: %w", err)
+		return nil, err
 	}
-	topRoot, err := mht.Reconstruct(p.Top, map[int][]byte{int(i): rowRoot})
+	topRoot, err := mht.Reconstruct(p.Top, []mht.Leaf{{Index: uint32(i), Digest: rowRoot}})
 	if err != nil {
 		return nil, fmt.Errorf("mbt: top reconstruction: %w", err)
 	}
@@ -295,9 +290,12 @@ func (p *ForestProof) RowLeaf() (int, []byte, error) {
 	if p.Row == nil || p.Top == nil {
 		return 0, nil, errors.New("mbt: forest proof missing parts")
 	}
+	if !p.Row.Alg.Valid() {
+		return 0, nil, fmt.Errorf("mbt: invalid algorithm %d in row proof", p.Row.Alg)
+	}
 	i, j := p.Entry.Key.Split()
 	leaf := p.Row.Alg.Sum(p.Entry.AppendBinary(nil))
-	rowRoot, err := mht.Reconstruct(p.Row, map[int][]byte{int(j): leaf})
+	rowRoot, err := mht.Reconstruct(p.Row, []mht.Leaf{{Index: j, Digest: leaf}})
 	if err != nil {
 		return 0, nil, fmt.Errorf("mbt: row reconstruction: %w", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/authhints/spv/internal/digest"
@@ -242,48 +243,58 @@ func (t *Tree) ProveKeys(keys []Key) (*Proof, error) {
 // owner by checking a signature over it (or by comparing against a known
 // root via Verify).
 func (p *Proof) Root() ([]byte, error) {
-	if p.MHT == nil {
-		return nil, errors.New("mbt: proof missing Merkle part")
-	}
-	known := make(map[int][]byte, len(p.Entries))
-	var buf []byte
-	for _, e := range p.Entries {
-		buf = e.Entry.AppendBinary(buf[:0])
-		d := p.MHT.Alg.Sum(buf)
-		if prev, dup := known[int(e.Index)]; dup && !bytes.Equal(prev, d) {
-			return nil, fmt.Errorf("mbt: conflicting entries at leaf %d", e.Index)
-		}
-		known[int(e.Index)] = d
-	}
-	return mht.Reconstruct(p.MHT, known)
+	var s RootScratch
+	return p.RootWith(&s)
 }
 
-// MergeLeafDigests hashes the proof's entries and merges them into known —
-// the shared leaf view of a batch audit (mht.ReconstructSet) — returning
-// the leaf positions this proof contributes. A digest that byte-differs
-// from one already merged for the same position means the proofs do not
-// describe one tree: the error wraps mht.ErrInconsistentSet, and batch
-// verifiers fall back to per-proof verification (which reports the precise
-// per-proof failure).
-func (p *Proof) MergeLeafDigests(known map[int][]byte) ([]int, error) {
+// RootScratch is reusable storage for RootWith: the leaf list, one digest
+// arena and the Merkle reconstruction scratch. A zero value is ready. Not
+// safe for concurrent use.
+type RootScratch struct {
+	leaves []mht.Leaf
+	arena  []byte
+	rec    mht.Reconstructor
+}
+
+// Clear drops every reference s holds into the last proof it read.
+func (s *RootScratch) Clear() { s.rec.Clear() }
+
+// RootWith is Root on caller scratch; the returned root aliases s and is
+// valid until its next use.
+func (p *Proof) RootWith(s *RootScratch) ([]byte, error) {
 	if p.MHT == nil {
 		return nil, errors.New("mbt: proof missing Merkle part")
 	}
-	leaves := make([]int, 0, len(p.Entries))
-	var buf []byte
-	for _, e := range p.Entries {
-		buf = e.Entry.AppendBinary(buf[:0])
-		d := p.MHT.Alg.Sum(buf)
-		if prev, dup := known[int(e.Index)]; dup {
-			if !bytes.Equal(prev, d) {
-				return nil, fmt.Errorf("%w: conflicting entries at leaf %d", mht.ErrInconsistentSet, e.Index)
-			}
-		} else {
-			known[int(e.Index)] = d
-		}
-		leaves = append(leaves, int(e.Index))
+	if !p.MHT.Alg.Valid() {
+		return nil, fmt.Errorf("mbt: invalid algorithm %d in proof", p.MHT.Alg)
 	}
-	return leaves, nil
+	s.leaves, s.arena = p.AppendLeafDigests(s.leaves[:0], s.arena[:0])
+	leaves, at, ok := mht.SortLeaves(s.leaves)
+	if !ok {
+		return nil, fmt.Errorf("mbt: conflicting entries at leaf %d", at)
+	}
+	return s.rec.Root(p.MHT, leaves)
+}
+
+// AppendLeafDigests hashes the proof's entries and appends them, in entry
+// order, as leaves at their proven positions to dst, with the digests in
+// arena. Batch verifiers merge several proofs' leaves into the shared
+// view of one audit (mht.ReconstructSet); mht.SortLeaves orders the merge
+// and reports byte-differing digests for one position, which means the
+// proofs do not describe one tree. The proof's algorithm must be valid.
+func (p *Proof) AppendLeafDigests(dst []mht.Leaf, arena []byte) ([]mht.Leaf, []byte) {
+	alg := p.MHT.Alg
+	size := alg.Size()
+	h := alg.New()
+	arena = slices.Grow(arena, len(p.Entries)*size)
+	var buf [entrySize]byte
+	for _, e := range p.Entries {
+		h.Reset()
+		h.Write(e.Entry.AppendBinary(buf[:0]))
+		arena = h.Sum(arena)
+		dst = append(dst, mht.Leaf{Index: e.Index, Digest: arena[len(arena)-size:]})
+	}
+	return dst, arena
 }
 
 // Verify reconstructs the root from the proof and compares it to the

@@ -2,8 +2,10 @@ package mht
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/authhints/spv/internal/digest"
 )
@@ -18,9 +20,11 @@ var ErrInconsistentSet = errors.New("mht: inconsistent proof set")
 
 // ReconstructSet audits a set of proofs that claim positions in one shared
 // tree, hashing every needed internal digest exactly once instead of once
-// per proof. known holds the merged leaf digests (the caller guarantees a
-// single digest per position — it must reject byte-differing duplicates
-// while merging); leaves[i] lists the leaf positions proof i relies on.
+// per proof. known holds the merged leaf digests, sorted by strictly
+// ascending Index (the caller guarantees a single digest per position — it
+// must reject byte-differing duplicates while merging); leaves[i] lists
+// the leaf positions proof i relies on, strictly ascending. complete must
+// have one slot per proof.
 //
 // The returned root is the digest every *complete* proof would reconstruct
 // on its own: complete[i] reports whether proof i's claims alone cover the
@@ -31,167 +35,103 @@ var ErrInconsistentSet = errors.New("mht: inconsistent proof set")
 // every provided digest whose children are all known is recomputed and
 // compared, so a position one proof computes bottom-up can never be
 // short-circuited by another proof's differing claim. Any violation yields
-// ErrInconsistentSet.
-func ReconstructSet(proofs []*Proof, known map[int][]byte, leaves [][]int) ([]byte, []bool, error) {
+// ErrInconsistentSet. The root aliases r's scratch, like Root's.
+func (r *Reconstructor) ReconstructSet(proofs []*Proof, known []Leaf, leaves [][]uint32, complete []bool) ([]byte, error) {
 	if len(proofs) == 0 {
-		return nil, nil, errors.New("mht: empty proof set")
+		return nil, errors.New("mht: empty proof set")
 	}
-	if len(leaves) != len(proofs) {
-		return nil, nil, fmt.Errorf("mht: %d leaf sets for %d proofs", len(leaves), len(proofs))
+	if len(leaves) != len(proofs) || len(complete) != len(proofs) {
+		return nil, fmt.Errorf("mht: %d leaf sets and %d slots for %d proofs", len(leaves), len(complete), len(proofs))
 	}
 	first := proofs[0]
 	if first == nil {
-		return nil, nil, fmt.Errorf("%w: nil proof", ErrInconsistentSet)
+		return nil, fmt.Errorf("%w: nil proof", ErrInconsistentSet)
 	}
-	if !first.Alg.Valid() {
-		return nil, nil, fmt.Errorf("%w: invalid algorithm %d", ErrInconsistentSet, first.Alg)
-	}
-	fanout := int(first.Fanout)
-	if fanout < 2 || fanout > MaxFanout {
-		return nil, nil, fmt.Errorf("%w: invalid fanout %d", ErrInconsistentSet, fanout)
-	}
-	n := int(first.NumLeaves)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("%w: invalid leaf count", ErrInconsistentSet)
+	fanout, err := r.shape(first)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInconsistentSet, err)
 	}
 	for _, p := range proofs[1:] {
 		if p == nil || p.Alg != first.Alg || p.Fanout != first.Fanout || p.NumLeaves != first.NumLeaves {
-			return nil, nil, fmt.Errorf("%w: proofs describe different tree shapes", ErrInconsistentSet)
+			return nil, fmt.Errorf("%w: proofs describe different tree shapes", ErrInconsistentSet)
 		}
 	}
 	size := first.Alg.Size()
-
-	var widths []int
-	for w := n; ; w = groupLevel(w, fanout).groups {
-		widths = append(widths, w)
-		if w == 1 {
-			break
-		}
-	}
-
-	// Merge every claim — leaves and proof entries — into one view, with
-	// conflict detection across proofs.
-	have := make([]map[uint32][]byte, len(widths))
-	for l := range have {
-		have[l] = make(map[uint32][]byte)
-	}
-	for idx, d := range known {
-		if idx < 0 || idx >= n {
-			return nil, nil, fmt.Errorf("%w: known leaf %d out of range", ErrInconsistentSet, idx)
-		}
-		if len(d) != size {
-			return nil, nil, fmt.Errorf("%w: known leaf %d digest size %d, want %d", ErrInconsistentSet, idx, len(d), size)
-		}
-		have[0][uint32(idx)] = d
-	}
-	for _, p := range proofs {
-		for _, e := range p.Entries {
-			if int(e.Level) >= len(widths) || int(e.Index) >= widths[e.Level] {
-				return nil, nil, fmt.Errorf("%w: entry (%d,%d) outside tree shape", ErrInconsistentSet, e.Level, e.Index)
-			}
-			if len(e.Digest) != size {
-				return nil, nil, fmt.Errorf("%w: entry (%d,%d) digest size %d, want %d", ErrInconsistentSet, e.Level, e.Index, len(e.Digest), size)
-			}
-			if prev, dup := have[e.Level][e.Index]; dup && !bytes.Equal(prev, e.Digest) {
-				return nil, nil, fmt.Errorf("%w: conflicting digests at (%d,%d)", ErrInconsistentSet, e.Level, e.Index)
-			}
-			have[e.Level][e.Index] = e.Digest
+	n := uint32(r.widths[0])
+	for i, l := range known {
+		if l.Index >= n || len(l.Digest) != size || i > 0 && l.Index <= known[i-1].Index {
+			return nil, fmt.Errorf("%w: known leaf %d out of range, order or size", ErrInconsistentSet, l.Index)
 		}
 	}
 
 	// Per-proof structural completeness: covered(l,i) ⇔ proof i claims the
-	// position or (recursively) all its children. No hashing — this only
+	// position or all its children are covered. No hashing — this only
 	// decides which proofs the shared root speaks for.
-	complete := make([]bool, len(proofs))
-	claims := make(map[uint64]struct{})
-	pos := func(l int, i uint32) uint64 { return uint64(l)<<32 | uint64(i) }
 	for pi, p := range proofs {
-		clear(claims)
-		for _, li := range leaves[pi] {
-			if li < 0 || li >= n {
-				return nil, nil, fmt.Errorf("%w: proof %d leaf %d out of range", ErrInconsistentSet, pi, li)
+		claims := r.claims[:0]
+		for k, li := range leaves[pi] {
+			if k > 0 && li <= leaves[pi][k-1] {
+				return nil, fmt.Errorf("%w: proof %d leaf %d out of order", ErrInconsistentSet, pi, li)
 			}
-			if _, present := known[li]; !present {
-				return nil, nil, fmt.Errorf("%w: proof %d leaf %d missing from known set", ErrInconsistentSet, pi, li)
+			if _, present := slices.BinarySearchFunc(known, Leaf{Index: li}, compareLeaves); !present {
+				return nil, fmt.Errorf("%w: proof %d leaf %d missing from known set", ErrInconsistentSet, pi, li)
 			}
-			claims[pos(0, uint32(li))] = struct{}{}
+			claims = append(claims, Leaf{Index: li})
 		}
-		for _, e := range p.Entries {
-			claims[pos(int(e.Level), e.Index)] = struct{}{}
+		r.claims = claims
+		entries, err := r.sortedEntries(p.Entries, size)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInconsistentSet, err)
 		}
-		var covered func(l int, i uint32) bool
-		covered = func(l int, i uint32) bool {
-			if _, c := claims[pos(l, i)]; c {
-				return true
-			}
-			if l == 0 {
-				return false
-			}
-			first, last := groupLevel(widths[l-1], fanout).childRange(int(i))
-			for c := first; c < last; c++ {
-				if !covered(l-1, uint32(c)) {
-					return false
-				}
-			}
-			return true
+		lvl0 := levelEnd(entries, 0)
+		r.cur, _ = mergeLevel(r.cur[:0], claims, entries[:lvl0], false)
+		top, _ := r.fold(fanout, entries[lvl0:], false, false)
+		complete[pi] = len(top) > 0
+	}
+
+	// Merge every claim — leaves and proof entries — into one view, with
+	// conflict detection across proofs.
+	all := r.entries[:0]
+	for _, p := range proofs {
+		all = append(all, p.Entries...)
+	}
+	r.entries = all
+	slices.SortStableFunc(all, func(a, b Entry) int {
+		if c := cmp.Compare(a.Level, b.Level); c != 0 {
+			return c
 		}
-		complete[pi] = covered(len(widths)-1, 0)
+		return cmp.Compare(a.Index, b.Index)
+	})
+	for i := 1; i < len(all); i++ {
+		a, b := &all[i-1], &all[i]
+		if a.Level == b.Level && a.Index == b.Index && !bytes.Equal(a.Digest, b.Digest) {
+			return nil, fmt.Errorf("%w: conflicting digests at (%d,%d)", ErrInconsistentSet, b.Level, b.Index)
+		}
 	}
 
 	// Bottom-up: compute every position whose children are all known,
 	// hashing each exactly once. Where a computed digest meets a provided
 	// one, they must agree.
-	h := first.Alg.New()
-	var arena []byte
-	visited := make(map[uint32]struct{})
-	for l := 1; l < len(widths); l++ {
-		grp := groupLevel(widths[l-1], fanout)
-		clear(visited)
-		for c := range have[l-1] {
-			p := uint32(grp.parentOf(int(c)))
-			if _, seen := visited[p]; seen {
-				continue
-			}
-			visited[p] = struct{}{}
-			first, last := grp.childRange(int(p))
-			full := true
-			for ci := first; ci < last; ci++ {
-				if _, ok := have[l-1][uint32(ci)]; !ok {
-					full = false
-					break
-				}
-			}
-			if !full {
-				continue
-			}
-			h.Reset()
-			for ci := first; ci < last; ci++ {
-				h.Write(have[l-1][uint32(ci)])
-			}
-			arena = h.Sum(arena)
-			d := arena[len(arena)-size:]
-			if prev, ok := have[l][p]; ok {
-				if !bytes.Equal(prev, d) {
-					return nil, nil, fmt.Errorf("%w: provided digest at (%d,%d) disagrees with its children", ErrInconsistentSet, l, p)
-				}
-				continue
-			}
-			have[l][p] = d
-		}
+	r.setAlg(first.Alg)
+	r.arena = slices.Grow(r.arena[:0], (len(known)+len(all)+len(r.widths))*size)
+	lvl0 := levelEnd(all, 0)
+	var conflict bool
+	if r.cur, conflict = mergeLevel(r.cur[:0], known, all[:lvl0], true); conflict {
+		return nil, fmt.Errorf("%w: conflicting leaf digests", ErrInconsistentSet)
 	}
-
-	root, ok := have[len(widths)-1][0]
+	top, ok := r.fold(fanout, all[lvl0:], true, true)
 	if !ok {
+		return nil, fmt.Errorf("%w: a provided digest disagrees with its children", ErrInconsistentSet)
+	}
+	if len(top) == 0 {
 		// No proof in the set covers the root; every one is incomplete and
 		// will be retried individually by the caller.
-		return nil, complete, nil
+		return nil, nil
 	}
-	for pi := range complete {
-		if complete[pi] {
-			return root, complete, nil
-		}
+	if slices.Contains(complete, true) {
+		return top[0].Digest, nil
 	}
-	return nil, complete, nil
+	return nil, nil
 }
 
 // TreeScratch holds reusable storage for BuildInto: per-level node slices

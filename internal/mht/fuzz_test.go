@@ -2,6 +2,7 @@ package mht
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"github.com/authhints/spv/internal/digest"
@@ -41,5 +42,21 @@ func FuzzDecodeProof(f *testing.F) {
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("decode/encode not identity: %d in, %d out", n, len(re))
 		}
+	})
+}
+
+// FuzzReconstruct drives the differential check of the bottom-up kernel
+// against the top-down reference: the fuzzer picks the tree shape, the
+// mutation count and the seed of reconstructCase's random choices.
+func FuzzReconstruct(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint16(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint16(35), uint8(1))
+	f.Add(int64(3), uint8(14), uint16(1999), uint8(3))
+	f.Add(int64(4), uint8(6), uint16(80), uint8(6))
+	f.Add(int64(5), uint8(3), uint16(2), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, fanout uint8, n uint16, nmut uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		p, known := reconstructCase(rng, 2+int(fanout)%15, 1+int(n)%2000, int(nmut)%8)
+		checkAgainstReference(t, p, known)
 	})
 }

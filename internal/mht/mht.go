@@ -411,89 +411,6 @@ func (t *Tree) ProveWith(s *ProveScratch, indices []int) (*Proof, error) {
 	return p, nil
 }
 
-// ErrIncomplete reports that the proof and known leaves do not cover the
-// tree, so the root cannot be reconstructed.
-var ErrIncomplete = errors.New("mht: proof incomplete")
-
-// Reconstruct computes the root digest from the verifier's own leaf digests
-// (keyed by leaf index) and the proof entries, without access to the tree.
-// It fails if any needed digest is missing or the shape is inconsistent.
-func Reconstruct(p *Proof, known map[int][]byte) ([]byte, error) {
-	if !p.Alg.Valid() {
-		return nil, fmt.Errorf("mht: invalid algorithm %d in proof", p.Alg)
-	}
-	fanout := int(p.Fanout)
-	if fanout < 2 || fanout > MaxFanout {
-		return nil, fmt.Errorf("mht: invalid fanout %d in proof", fanout)
-	}
-	n := int(p.NumLeaves)
-	if n <= 0 {
-		return nil, errors.New("mht: invalid leaf count in proof")
-	}
-	size := p.Alg.Size()
-
-	// Number of positions per level for the declared shape.
-	var widths []int
-	for w := n; ; w = groupLevel(w, fanout).groups {
-		widths = append(widths, w)
-		if w == 1 {
-			break
-		}
-	}
-	have := make([]map[uint32][]byte, len(widths))
-	for l := range have {
-		have[l] = make(map[uint32][]byte)
-	}
-	for idx, d := range known {
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("mht: known leaf %d out of range", idx)
-		}
-		if len(d) != size {
-			return nil, fmt.Errorf("mht: known leaf %d digest size %d, want %d", idx, len(d), size)
-		}
-		have[0][uint32(idx)] = d
-	}
-	for _, e := range p.Entries {
-		if int(e.Level) >= len(widths) || int(e.Index) >= widths[e.Level] {
-			return nil, fmt.Errorf("mht: proof entry (%d,%d) outside tree shape", e.Level, e.Index)
-		}
-		if len(e.Digest) != size {
-			return nil, fmt.Errorf("mht: proof entry (%d,%d) digest size %d, want %d", e.Level, e.Index, len(e.Digest), size)
-		}
-		if prev, dup := have[e.Level][e.Index]; dup && !bytes.Equal(prev, e.Digest) {
-			return nil, fmt.Errorf("mht: conflicting digests at (%d,%d)", e.Level, e.Index)
-		}
-		have[e.Level][e.Index] = e.Digest
-	}
-
-	var compute func(level int, index uint32) ([]byte, error)
-	compute = func(level int, index uint32) ([]byte, error) {
-		if d, ok := have[level][index]; ok {
-			return d, nil
-		}
-		if level == 0 {
-			return nil, fmt.Errorf("%w: missing leaf %d", ErrIncomplete, index)
-		}
-		childLevel := level - 1
-		first, last := groupLevel(widths[childLevel], fanout).childRange(int(index))
-		if first >= last {
-			return nil, fmt.Errorf("%w: empty group at (%d,%d)", ErrIncomplete, level, index)
-		}
-		h := p.Alg.New()
-		for c := first; c < last; c++ {
-			d, err := compute(childLevel, uint32(c))
-			if err != nil {
-				return nil, err
-			}
-			h.Write(d)
-		}
-		d := h.Sum(nil)
-		have[level][index] = d
-		return d, nil
-	}
-	return compute(len(widths)-1, 0)
-}
-
 // EncodedSize returns the byte size of the serialized proof: this is the
 // ΓT contribution to communication overhead.
 func (p *Proof) EncodedSize() int {
@@ -544,11 +461,16 @@ func DecodeProof(buf []byte) (*Proof, int, error) {
 	}
 	off := head
 	p.Entries = make([]Entry, count)
+	// All digests share one owned block: one allocation per proof instead
+	// of one per entry.
+	block := make([]byte, count*size)
 	for i := 0; i < count; i++ {
+		d := block[i*size : (i+1)*size : (i+1)*size]
+		copy(d, buf[off+5:off+5+size])
 		p.Entries[i] = Entry{
 			Level:  buf[off],
 			Index:  binary.BigEndian.Uint32(buf[off+1:]),
-			Digest: append([]byte(nil), buf[off+5:off+5+size]...),
+			Digest: d,
 		}
 		off += 5 + size
 	}

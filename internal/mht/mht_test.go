@@ -2,8 +2,11 @@ package mht
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -52,7 +55,7 @@ func TestSingleLeafTree(t *testing.T) {
 	if len(p.Entries) != 0 {
 		t.Errorf("single leaf proof has %d entries, want 0", len(p.Entries))
 	}
-	root, err := Reconstruct(p, map[int][]byte{0: leaf})
+	root, err := reconstructMap(p, map[int][]byte{0: leaf})
 	if err != nil || !bytes.Equal(root, tr.Root()) {
 		t.Errorf("reconstruct: %v", err)
 	}
@@ -88,7 +91,7 @@ func TestPaperFigure3Example(t *testing.T) {
 		8:  digest.SHA1.Sum(msgs(36)[8]),
 		10: digest.SHA1.Sum(msgs(36)[10]),
 	}
-	root, err := Reconstruct(p, known)
+	root, err := reconstructMap(p, known)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestProveReconstructAllFanouts(t *testing.T) {
 				for _, idx := range s {
 					known[idx] = tr.Leaf(idx)
 				}
-				root, err := Reconstruct(p, known)
+				root, err := reconstructMap(p, known)
 				if err != nil {
 					t.Fatalf("fanout %d n %d subset %v: %v", fanout, n, s, err)
 				}
@@ -170,7 +173,7 @@ func TestProofPropertyRandomSubsets(t *testing.T) {
 		for _, i := range indices {
 			known[i] = digest.SHA1.Sum(m[i])
 		}
-		root, err := Reconstruct(p, known)
+		root, err := reconstructMap(p, known)
 		if err != nil || !bytes.Equal(root, tr.Root()) {
 			t.Logf("seed %d: reconstruct failed: %v", seed, err)
 			return false
@@ -178,7 +181,7 @@ func TestProofPropertyRandomSubsets(t *testing.T) {
 		// Tamper with one proven leaf: root must change.
 		victim := indices[rng.Intn(len(indices))]
 		known[victim] = digest.SHA1.Sum([]byte("tampered"))
-		root2, err := Reconstruct(p, known)
+		root2, err := reconstructMap(p, known)
 		if err == nil && bytes.Equal(root2, tr.Root()) {
 			t.Logf("seed %d: tampered leaf reconstructed to same root", seed)
 			return false
@@ -204,7 +207,7 @@ func TestProofMissingLeafFails(t *testing.T) {
 		6: tr.Leaf(6),
 		// 5 missing
 	}
-	if _, err := Reconstruct(p, known); err == nil {
+	if _, err := reconstructMap(p, known); err == nil {
 		t.Fatal("reconstruction with missing leaf succeeded")
 	}
 }
@@ -214,7 +217,7 @@ func TestProofEntryTamperFails(t *testing.T) {
 	p, _ := tr.Prove([]int{10})
 	known := map[int][]byte{10: tr.Leaf(10)}
 	p.Entries[0].Digest[0] ^= 0xff
-	root, err := Reconstruct(p, known)
+	root, err := reconstructMap(p, known)
 	if err == nil && bytes.Equal(root, tr.Root()) {
 		t.Fatal("tampered proof entry still verified")
 	}
@@ -227,12 +230,12 @@ func TestProofShapeLies(t *testing.T) {
 
 	lie := *p
 	lie.NumLeaves = 40
-	if root, err := Reconstruct(&lie, known); err == nil && bytes.Equal(root, tr.Root()) {
+	if root, err := reconstructMap(&lie, known); err == nil && bytes.Equal(root, tr.Root()) {
 		t.Error("leaf-count lie produced matching root")
 	}
 	lie2 := *p
 	lie2.Fanout = 4
-	if root, err := Reconstruct(&lie2, known); err == nil && bytes.Equal(root, tr.Root()) {
+	if root, err := reconstructMap(&lie2, known); err == nil && bytes.Equal(root, tr.Root()) {
 		t.Error("fanout lie produced matching root")
 	}
 }
@@ -262,7 +265,7 @@ func TestProofSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	known := map[int][]byte{0: tr.Leaf(0), 12: tr.Leaf(12), 76: tr.Leaf(76)}
-	root, err := Reconstruct(dec, known)
+	root, err := reconstructMap(dec, known)
 	if err != nil || !bytes.Equal(root, tr.Root()) {
 		t.Errorf("decoded proof does not verify: %v", err)
 	}
@@ -339,8 +342,274 @@ func TestSHA256TreeWorks(t *testing.T) {
 		t.Errorf("SHA-256 root has %d bytes", len(tr.Root()))
 	}
 	p, _ := tr.Prove([]int{7})
-	root, err := Reconstruct(p, map[int][]byte{7: tr.Leaf(7)})
+	root, err := reconstructMap(p, map[int][]byte{7: tr.Leaf(7)})
 	if err != nil || !bytes.Equal(root, tr.Root()) {
 		t.Errorf("sha256 reconstruct failed: %v", err)
 	}
+}
+
+// referenceReconstruct is the original top-down, map-per-level
+// reconstruction, kept as the oracle the bottom-up kernel is tested
+// against: same root, or an error of the same class (ErrIncomplete or
+// not).
+func referenceReconstruct(p *Proof, known map[int][]byte) ([]byte, error) {
+	if !p.Alg.Valid() {
+		return nil, fmt.Errorf("mht: invalid algorithm %d in proof", p.Alg)
+	}
+	fanout := int(p.Fanout)
+	if fanout < 2 || fanout > MaxFanout {
+		return nil, fmt.Errorf("mht: invalid fanout %d in proof", fanout)
+	}
+	n := int(p.NumLeaves)
+	if n <= 0 {
+		return nil, errors.New("mht: invalid leaf count in proof")
+	}
+	size := p.Alg.Size()
+	var widths []int
+	for w := n; ; w = groupLevel(w, fanout).groups {
+		widths = append(widths, w)
+		if w == 1 {
+			break
+		}
+	}
+	have := make([]map[uint32][]byte, len(widths))
+	for l := range have {
+		have[l] = make(map[uint32][]byte)
+	}
+	for idx, d := range known {
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("mht: known leaf %d out of range", idx)
+		}
+		if len(d) != size {
+			return nil, fmt.Errorf("mht: known leaf %d digest size %d, want %d", idx, len(d), size)
+		}
+		have[0][uint32(idx)] = d
+	}
+	for _, e := range p.Entries {
+		if int(e.Level) >= len(widths) || int(e.Index) >= widths[e.Level] {
+			return nil, fmt.Errorf("mht: proof entry (%d,%d) outside tree shape", e.Level, e.Index)
+		}
+		if len(e.Digest) != size {
+			return nil, fmt.Errorf("mht: proof entry (%d,%d) digest size %d, want %d", e.Level, e.Index, len(e.Digest), size)
+		}
+		if prev, dup := have[e.Level][e.Index]; dup && !bytes.Equal(prev, e.Digest) {
+			return nil, fmt.Errorf("mht: conflicting digests at (%d,%d)", e.Level, e.Index)
+		}
+		have[e.Level][e.Index] = e.Digest
+	}
+	var compute func(level int, index uint32) ([]byte, error)
+	compute = func(level int, index uint32) ([]byte, error) {
+		if d, ok := have[level][index]; ok {
+			return d, nil
+		}
+		if level == 0 {
+			return nil, fmt.Errorf("%w: missing leaf %d", ErrIncomplete, index)
+		}
+		childLevel := level - 1
+		first, last := groupLevel(widths[childLevel], fanout).childRange(int(index))
+		h := p.Alg.New()
+		for c := first; c < last; c++ {
+			d, err := compute(childLevel, uint32(c))
+			if err != nil {
+				return nil, err
+			}
+			h.Write(d)
+		}
+		d := h.Sum(nil)
+		have[level][index] = d
+		return d, nil
+	}
+	return compute(len(widths)-1, 0)
+}
+
+// reconstructMap runs the kernel on a map of known leaves, sorted into the
+// ascending leaf list it takes.
+func reconstructMap(p *Proof, known map[int][]byte) ([]byte, error) {
+	return Reconstruct(p, sortedLeaves(known))
+}
+
+func sortedLeaves(known map[int][]byte) []Leaf {
+	leaves := make([]Leaf, 0, len(known))
+	for i, d := range known {
+		leaves = append(leaves, Leaf{Index: uint32(i), Digest: d})
+	}
+	slices.SortFunc(leaves, func(a, b Leaf) int { return cmp.Compare(a.Index, b.Index) })
+	return leaves
+}
+
+// reconstructCase builds a random tree (fanout 2–16, 1–2000 leaves), an
+// honest proof for a random leaf subset, and then applies nmut random
+// mutations to the proof and the known leaves: dropped, duplicated,
+// conflicting, out-of-shape, wrongly sized and redundant interior entries,
+// dropped, extra and tampered known leaves, shuffled entry order and
+// shape lies.
+func reconstructCase(rng *rand.Rand, fanout, n, nmut int) (*Proof, map[int][]byte) {
+	tr, err := BuildFromMessages(digest.SHA1, fanout, msgs(n))
+	if err != nil {
+		panic(err)
+	}
+	var subset []int
+	for i := 0; i < n; i++ {
+		if rng.Intn(n) < 1+rng.Intn(8) {
+			subset = append(subset, i)
+		}
+	}
+	if len(subset) == 0 {
+		subset = []int{rng.Intn(n)}
+	}
+	p, err := tr.Prove(subset)
+	if err != nil {
+		panic(err)
+	}
+	known := make(map[int][]byte, len(subset))
+	for _, i := range subset {
+		known[i] = tr.Leaf(i)
+	}
+	node := func() (uint8, uint32) {
+		l := rng.Intn(tr.Height())
+		return uint8(l), uint32(rng.Intn(len(tr.levels[l])))
+	}
+	junk := func() []byte { return digest.SHA1.Sum([]byte{byte(rng.Intn(256)), 7}) }
+	for k := 0; k < nmut; k++ {
+		switch rng.Intn(12) {
+		case 0: // drop an entry
+			if len(p.Entries) > 0 {
+				i := rng.Intn(len(p.Entries))
+				p.Entries = append(p.Entries[:i:i], p.Entries[i+1:]...)
+			}
+		case 1: // duplicate an entry
+			if len(p.Entries) > 0 {
+				p.Entries = append(p.Entries, p.Entries[rng.Intn(len(p.Entries))])
+			}
+		case 2: // conflicting duplicate
+			if len(p.Entries) > 0 {
+				e := p.Entries[rng.Intn(len(p.Entries))]
+				e.Digest = junk()
+				p.Entries = append(p.Entries, e)
+			}
+		case 3: // out-of-shape entry
+			l, i := node()
+			if rng.Intn(2) == 0 {
+				l = uint8(tr.Height() + rng.Intn(3))
+			} else {
+				i = uint32(len(tr.levels[l]) + rng.Intn(3))
+			}
+			p.Entries = append(p.Entries, Entry{Level: l, Index: i, Digest: junk()})
+		case 4: // redundant genuine entry anywhere, interior included
+			l, i := node()
+			p.Entries = append(p.Entries, Entry{Level: l, Index: i, Digest: tr.levels[l][i]})
+		case 5: // redundant wrong entry anywhere
+			l, i := node()
+			p.Entries = append(p.Entries, Entry{Level: l, Index: i, Digest: junk()})
+		case 6: // drop a known leaf
+			for i := range known {
+				delete(known, i)
+				break
+			}
+		case 7: // extra genuine known leaf
+			i := rng.Intn(n)
+			known[i] = tr.Leaf(i)
+		case 8: // tampered known leaf
+			known[rng.Intn(n)] = junk()
+		case 9: // wrongly sized entry
+			if len(p.Entries) > 0 {
+				p.Entries[rng.Intn(len(p.Entries))].Digest = []byte{1, 2, 3}
+			}
+		case 10: // shuffled entry order
+			rng.Shuffle(len(p.Entries), func(i, j int) { p.Entries[i], p.Entries[j] = p.Entries[j], p.Entries[i] })
+		case 11: // shape lie
+			if rng.Intn(2) == 0 {
+				p.NumLeaves = uint32(1 + rng.Intn(2*n+2))
+			} else {
+				p.Fanout = uint16(rng.Intn(18))
+			}
+		}
+	}
+	return p, known
+}
+
+// checkAgainstReference requires the kernel and the reference to agree:
+// the same root, or errors of the same class.
+func checkAgainstReference(t *testing.T, p *Proof, known map[int][]byte) {
+	t.Helper()
+	want, wantErr := referenceReconstruct(p, known)
+	got, gotErr := reconstructMap(p, known)
+	switch {
+	case wantErr == nil && gotErr == nil:
+		if !bytes.Equal(got, want) {
+			t.Fatalf("roots differ: kernel %x, reference %x", got, want)
+		}
+	case wantErr != nil && gotErr != nil:
+		if errors.Is(gotErr, ErrIncomplete) != errors.Is(wantErr, ErrIncomplete) {
+			t.Fatalf("error classes differ: kernel %v, reference %v", gotErr, wantErr)
+		}
+	default:
+		t.Fatalf("verdicts differ: kernel (%x, %v), reference (%x, %v)", got, gotErr, want, wantErr)
+	}
+}
+
+// TestReconstructMatchesReference is the differential test of the
+// bottom-up kernel against the top-down reference over random shapes,
+// leaf subsets and proof mutations.
+func TestReconstructMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	iters := 600
+	if testing.Short() {
+		iters = 150
+	}
+	for it := 0; it < iters; it++ {
+		fanout := 2 + rng.Intn(15)
+		n := 1 + rng.Intn(2000)
+		if it%3 == 0 {
+			n = 1 + rng.Intn(40) // small trees reach the root-level corner cases
+		}
+		p, known := reconstructCase(rng, fanout, n, rng.Intn(4))
+		checkAgainstReference(t, p, known)
+	}
+}
+
+// BenchmarkReconstruct times root reconstruction for a 500-leaf random
+// subset of a 14k-leaf fanout-2 tree, the shape of a cold long-range DIJ
+// proof: the kernel on one reused Reconstructor, and the top-down
+// reference for comparison.
+func BenchmarkReconstruct(b *testing.B) {
+	const n = 14434
+	tr, err := BuildFromMessages(digest.SHA1, 2, msgs(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	start := rng.Intn(n - 4000)
+	var subset []int
+	for len(subset) < 500 {
+		subset = append(subset, start+rng.Intn(4000))
+	}
+	p, err := tr.Prove(subset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	known := map[int][]byte{}
+	for _, i := range subset {
+		known[i] = tr.Leaf(i)
+	}
+	leaves := sortedLeaves(known)
+	b.Run("bottom-up", func(b *testing.B) {
+		var r Reconstructor
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			root, err := r.Root(p, leaves)
+			if err != nil || !bytes.Equal(root, tr.Root()) {
+				b.Fatalf("reconstruct: %v", err)
+			}
+		}
+	})
+	b.Run("top-down-reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			root, err := referenceReconstruct(p, known)
+			if err != nil || !bytes.Equal(root, tr.Root()) {
+				b.Fatalf("reconstruct: %v", err)
+			}
+		}
+	})
 }

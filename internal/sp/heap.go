@@ -9,11 +9,15 @@ import "github.com/authhints/spv/internal/graph"
 
 // Heap is an indexed binary min-heap of nodes keyed by float64 priorities.
 // It supports decrease-key in O(log n) via a position index, which keeps
-// Dijkstra at the textbook O((V+E) log V). It is shared by the graph-side
-// searches here and the client-side tuple searches in the core package.
+// Dijkstra at the textbook O((V+E) log V). Nodes are dense non-negative
+// indices and the position index is a slice over them, so its memory is
+// bounded by the largest node pushed: graph node IDs for the graph-side
+// searches here, and a proof's local tuple indices (bounded by its record
+// count, never by the attacker-chosen node IDs) for the client-side tuple
+// searches in the core package.
 type Heap struct {
 	items []heapItem
-	pos   map[graph.NodeID]int
+	pos   []int32 // pos[v] = index of v in items + 1; 0 = not queued
 }
 
 type heapItem struct {
@@ -22,19 +26,19 @@ type heapItem struct {
 }
 
 func NewHeap(capacity int) *Heap {
-	return &Heap{
-		items: make([]heapItem, 0, capacity),
-		pos:   make(map[graph.NodeID]int, capacity),
-	}
+	return &Heap{items: make([]heapItem, 0, capacity)}
 }
 
 func (h *Heap) Len() int { return len(h.items) }
 
-// Push inserts node with the given key. The node must not be present.
+// Push inserts node (≥ 0) with the given key. The node must not be present.
 func (h *Heap) Push(node graph.NodeID, key float64) {
+	if int(node) >= len(h.pos) {
+		h.pos = append(h.pos, make([]int32, int(node)+1-len(h.pos))...)
+	}
 	h.items = append(h.items, heapItem{node, key})
 	i := len(h.items) - 1
-	h.pos[node] = i
+	h.pos[node] = int32(i) + 1
 	h.up(i)
 }
 
@@ -44,7 +48,7 @@ func (h *Heap) Pop() (graph.NodeID, float64) {
 	last := len(h.items) - 1
 	h.swap(0, last)
 	h.items = h.items[:last]
-	delete(h.pos, top.node)
+	h.pos[top.node] = 0
 	if last > 0 {
 		h.down(0)
 	}
@@ -58,8 +62,11 @@ func (h *Heap) Peek() float64 { return h.items[0].key }
 // DecreaseKey lowers the key of an existing node. It is a no-op if the new
 // key is not smaller.
 func (h *Heap) DecreaseKey(node graph.NodeID, key float64) {
-	i, ok := h.pos[node]
-	if !ok || h.items[i].key <= key {
+	if !h.Contains(node) {
+		return
+	}
+	i := int(h.pos[node]) - 1
+	if h.items[i].key <= key {
 		return
 	}
 	h.items[i].key = key
@@ -68,8 +75,7 @@ func (h *Heap) DecreaseKey(node graph.NodeID, key float64) {
 
 // Contains reports whether node is currently queued.
 func (h *Heap) Contains(node graph.NodeID) bool {
-	_, ok := h.pos[node]
-	return ok
+	return node >= 0 && int(node) < len(h.pos) && h.pos[node] != 0
 }
 
 func (h *Heap) up(i int) {
@@ -104,14 +110,15 @@ func (h *Heap) down(i int) {
 
 func (h *Heap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].node] = i
-	h.pos[h.items[j].node] = j
+	h.pos[h.items[i].node] = int32(i) + 1
+	h.pos[h.items[j].node] = int32(j) + 1
 }
 
-// Reset empties the heap for reuse, keeping its storage. Batch clients run
-// many searches in sequence on one pooled heap instead of allocating one
-// per proof.
+// Reset empties the heap for reuse, keeping its storage. Clearing costs
+// O(queued), so searches that stop early never pay for the whole index.
 func (h *Heap) Reset() {
+	for _, it := range h.items {
+		h.pos[it.node] = 0
+	}
 	h.items = h.items[:0]
-	clear(h.pos)
 }

@@ -34,7 +34,7 @@ type Workspace struct {
 
 	// Indexed min-heap: items is the binary heap, pos[v] the index of v in
 	// items (valid when posStamp[v]==epoch and pos[v]>=0; popped nodes get
-	// pos -1). Same ordering and swap discipline as the map-indexed Heap,
+	// pos -1). Same ordering and swap discipline as Heap,
 	// so searches settle nodes in the identical order.
 	items    []heapItem
 	pos      []int32
@@ -369,11 +369,12 @@ func (w *Workspace) tree(src graph.NodeID, settledOnly bool) *Tree {
 }
 
 // --- dense-index binary heap ---
-// Same shape as the map-indexed Heap in heap.go (which the client-side
-// tuple searches keep using: decoded tuple IDs are attacker-chosen, so a
-// dense array would be an allocation amplification vector there). Ordering,
-// tie-breaking and swap discipline are identical, which keeps settle order
-// — and therefore proof bytes — unchanged.
+// Same shape as Heap in heap.go, with the position index epoch-stamped so
+// a search starts in O(1) however large the graph. Ordering, tie-breaking
+// and swap discipline are identical, which keeps settle order — and
+// therefore proof bytes — unchanged. (The client-side tuple searches use
+// Heap keyed by a proof's local tuple index, never by the attacker-chosen
+// node IDs, so their index memory is bounded by the record count.)
 
 func (w *Workspace) heapPush(node graph.NodeID, key float64) {
 	w.items = append(w.items, heapItem{node, key})
